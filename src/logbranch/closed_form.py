@@ -8,16 +8,23 @@ the population size X(t) started from a single particle is
     R(s) = (1 - alpha s) / (1 - alpha),
 
 from which the pmf, factorial moments, the law conditioned on survival, and
-the long-time conditional limit (a logarithmic series law) all follow.  All
-spectrum-spanning products are assembled in log space and carried as
-sign/log-magnitude pairs so that nothing overflows before the caller asks
-for an ordinary float.
+the long-time conditional limit (a logarithmic series law) all follow.
+
+Every term of the pmf and of the factorial moments carries the falling
+factorial |[M]_n| = M (1 - M) (2 - M) ... (n - 1 - M).  For 0 < M < 1 and
+n >= 1 it telescopes to the gamma ratio
+
+    |[M]_n| = M * Gamma(n - M) / Gamma(1 - M),    sign (-1)^(n-1),
+
+so each term costs O(1) through ``lgamma`` and a table up to n costs O(n).
+All spectrum-spanning products are assembled in log space so that nothing
+overflows before the caller asks for an ordinary float.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionLoss
 from .model import ModelParams, TimePoint
 
 
@@ -64,6 +71,17 @@ def falling_factorial(x: float, n: int) -> SignedLog:
             sign = -sign
         log_mag += math.log(abs(term))
     return SignedLog(sign, log_mag)
+
+
+def _log_falling_mean(m: float, n: int) -> float:
+    """log |[M]_n| for the mean 0 < M <= 1 and n >= 1, in O(1) work.
+
+    Below 1 this is log M + lgamma(n - M) - lgamma(1 - M).  At M = 1 the
+    product is 1 for n = 1 and 0 beyond (log -inf), never lgamma(0).
+    """
+    if m == 1.0:
+        return 0.0 if n == 1 else float("-inf")
+    return math.log(m) + math.lgamma(n - m) - math.lgamma(1.0 - m)
 
 
 def _log_ratio(params: ModelParams, s: float) -> float:
@@ -122,27 +140,26 @@ def pgf_ds(params: ModelParams, tp: TimePoint, s: float) -> float:
 def pmf(params: ModelParams, tp: TimePoint, n: int) -> float:
     """P(X(t) = n).
 
-    For n >= 1 and t > 0 this is
-    ((1-alpha)^(1-M)/alpha) alpha^n |[M]_n| / n!, assembled in log space.
-    t = 0 short-circuits to the unit atom at 1 because [1]_n vanishes for
-    n >= 2 and the general assembly would degrade to 0/0 bookkeeping.
+    For n >= 1 and 0 < M < 1 this is
+    ((1-alpha)^(1-M)/alpha) alpha^n |[M]_n| / n!, assembled in log space with
+    |[M]_n| = M Gamma(n - M) / Gamma(1 - M), so one term costs O(1) for any n.
+    Where M rounds to 1 (t = 0, or t so small that exp(malthusian_rate t)
+    rounds to 1) the law is exactly the unit atom at 1: [1]_n vanishes for
+    n >= 2.
     """
     if n < 0:
         raise DomainError(f"population size must be nonnegative, got {n!r}")
-    if tp.t == 0.0:
+    if tp.mean == 1.0:
         return 1.0 if n == 1 else 0.0
     if n == 0:
         return extinction_prob(params, tp)
-    ff = falling_factorial(tp.mean, n)
-    if ff.sign == 0:
-        return 0.0
     a = params.alpha
     log_p = (
         math.log1p(-a)
         - math.log(a)
         + n * math.log(a)
         + tp.mean * params.log_norm
-        + ff.log_magnitude
+        + _log_falling_mean(tp.mean, n)
         - math.lgamma(n + 1.0)
     )
     return math.exp(log_p)
@@ -152,12 +169,11 @@ def factorial_moment(params: ModelParams, tp: TimePoint, n: int) -> float:
     """E[X(t) (X(t)-1) ... (X(t)-n+1)] = ((1-alpha)/alpha) (alpha/(1-alpha))^n |[M]_n|."""
     if n < 1:
         raise DomainError(f"moment order must be positive, got {n!r}")
-    ff = falling_factorial(tp.mean, n)
-    if ff.sign == 0:
-        return 0.0
     a = params.alpha
     log_odds = math.log(a) - math.log1p(-a)
-    return math.exp(math.log1p(-a) - math.log(a) + n * log_odds + ff.log_magnitude)
+    return math.exp(
+        math.log1p(-a) - math.log(a) + n * log_odds + _log_falling_mean(tp.mean, n)
+    )
 
 
 def _log_survival_factor(params: ModelParams, tp: TimePoint) -> float:
@@ -175,12 +191,11 @@ def conditional_pmf(params: ModelParams, tp: TimePoint, n: int) -> float:
     _require_positive_time(tp)
     if n < 1:
         raise DomainError(f"conditional support starts at 1, got {n!r}")
-    ff = falling_factorial(tp.mean, n)
-    if ff.sign == 0:
-        return 0.0
+    if tp.mean == 1.0:
+        return 1.0 if n == 1 else 0.0
     log_p = (
         n * math.log(params.alpha)
-        + ff.log_magnitude
+        + _log_falling_mean(tp.mean, n)
         - math.lgamma(n + 1.0)
         - _log_survival_factor(params, tp)
     )
@@ -192,15 +207,12 @@ def conditional_factorial_moment(params: ModelParams, tp: TimePoint, n: int) -> 
     _require_positive_time(tp)
     if n < 1:
         raise DomainError(f"moment order must be positive, got {n!r}")
-    ff = falling_factorial(tp.mean, n)
-    if ff.sign == 0:
-        return 0.0
     a = params.alpha
     log_odds = math.log(a) - math.log1p(-a)
     log_m = (
         n * log_odds
         + tp.mean * math.log1p(-a)
-        + ff.log_magnitude
+        + _log_falling_mean(tp.mean, n)
         - _log_survival_factor(params, tp)
     )
     return math.exp(log_m)
@@ -288,7 +300,8 @@ def _build_law(pmf_at_n, support_offset: int, ratio_bound: float,
             break
         n += 1
         if n - support_offset >= max_terms:
-            raise RuntimeError("law table did not converge")
+            raise PrecisionLoss(f"law table did not reach tail bound {tail_bound!r} "
+                                f"within {max_terms} terms")
     bound = probs[-1] * ratio_bound / (1.0 - ratio_bound)
     return DiscreteLaw(support_offset, tuple(probs), bound)
 
@@ -299,7 +312,7 @@ def law_at(params: ModelParams, tp: TimePoint, tail_bound: float = 1e-12) -> Dis
     The pmf ratio alpha (n - M)/(n + 1) stays below alpha for n >= 1, so the
     mass past the last entry is at most pmf(last) * alpha / (1 - alpha).
     """
-    if tp.t == 0.0:
+    if tp.mean == 1.0:
         return DiscreteLaw(0, (0.0, 1.0), 0.0)
     return _build_law(lambda n: pmf(params, tp, n), 0, params.alpha, tail_bound)
 

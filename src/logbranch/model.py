@@ -71,8 +71,8 @@ class ModelParams:
             raise DomainError(
                 f"alpha must lie in (0, {ALPHA_CRITICAL:.6f}), got {self.alpha!r}"
             )
-        if not self.rate > 0.0:
-            raise DomainError(f"rate must be positive, got {self.rate!r}")
+        if not 0.0 < self.rate < math.inf:
+            raise DomainError(f"rate must be positive and finite, got {self.rate!r}")
         a_const = -math.log1p(-self.alpha)
         object.__setattr__(self, "log_norm", a_const)
         object.__setattr__(self, "offspring_mean", 1.0 - self.alpha**2 / a_const)
@@ -82,8 +82,8 @@ class ModelParams:
 
     def at(self, t: float) -> "TimePoint":
         """Time point carrying the decayed mean E[X(t)] = exp(malthusian_rate * t)."""
-        if not t >= 0.0:
-            raise DomainError(f"time must be nonnegative, got {t!r}")
+        if not 0.0 <= t < math.inf:
+            raise DomainError(f"time must be nonnegative and finite, got {t!r}")
         return TimePoint(t, math.exp(self.malthusian_rate * t))
 
 

@@ -1,12 +1,15 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from logbranch import (
     DomainError,
     ModelParams,
+    PrecisionLoss,
     SignedLog,
     conditional_factorial_moment,
     conditional_law_at,
@@ -26,7 +29,13 @@ from logbranch import (
     survival_prob,
     tv_distance,
 )
-from logbranch.closed_form import limit_law_factorial_moment_log, pgf_ds, pgf_dt
+from logbranch.closed_form import (
+    _build_law,
+    _log_falling_mean,
+    limit_law_factorial_moment_log,
+    pgf_ds,
+    pgf_dt,
+)
 from logbranch.model import infinitesimal_gen
 
 alphas = st.floats(min_value=0.01, max_value=0.75)
@@ -260,6 +269,122 @@ class TestPmf:
     def test_rejects_negative_n(self, params_half):
         with pytest.raises(DomainError):
             pmf(params_half, params_half.at(1.0), -1)
+
+    def test_table_that_cannot_converge_raises_typed_error(self, params_half):
+        tp = params_half.at(1.0)
+        with pytest.raises(PrecisionLoss, match="within 5 terms"):
+            _build_law(lambda n: pmf(params_half, tp, n), 0, params_half.alpha,
+                       1e-12, max_terms=5)
+
+
+MIN_NORMAL = sys.float_info.min
+MAX_FLOAT = sys.float_info.max
+
+
+def _term_rel_bound(n):
+    # the same bound the benchmark holds pmf rows to; fixed, not tuned
+    return 1e-13 * (n + 20)
+
+
+def _reference_terms(alpha, mean, nmax):
+    """50-digit pmf, conditional pmf, factorial moment and conditional
+    factorial moment for n = 1..nmax, from the ratio recurrences
+
+        term(n + 1) = term(n) * alpha (n - M) / (n + 1)   (pmf, conditional pmf)
+        term(n + 1) = term(n) * (alpha/(1-alpha)) (n - M)  (factorial moments)
+
+    at the float mean M, so only the term evaluation is under test.
+    """
+    with mp.workdps(50):
+        a, m = mp.mpf(alpha), mp.mpf(mean)
+        odds = a / (1 - a)
+        keep = (1 - a) ** m
+        terms = [((1 - a) ** (1 - m) * m, a * m / (1 - keep),
+                  m, odds * keep * m / (1 - keep))]
+        for n in range(1, nmax):
+            p, c, f, g = terms[-1]
+            q = a * (n - m) / (n + 1)
+            r = odds * (n - m)
+            terms.append((p * q, c * q, f * r, g * r))
+        return terms
+
+
+def _check_term(term, ref, n):
+    """Call term() and hold it to the bound; past float range it must raise."""
+    if ref > MAX_FLOAT * (1.0 + 1e-9):
+        with pytest.raises(OverflowError):
+            term()
+        return
+    if ref > MAX_FLOAT * (1.0 - 1e-9):
+        return  # on the float-range edge either outcome is right
+    value = term()
+    if abs(ref) >= MIN_NORMAL:
+        assert abs(value - ref) <= _term_rel_bound(n) * abs(ref), (n, value, ref)
+    else:
+        assert abs(value - ref) <= MIN_NORMAL, (n, value, ref)
+
+
+TERMS = (pmf, conditional_pmf, factorial_moment, conditional_factorial_moment)
+
+
+def _check_terms(params, tp, n, refs):
+    for term, ref in zip(TERMS, refs):
+        _check_term(lambda: term(params, tp, n), ref, n)
+
+
+class TestTermPrecision:
+    """pmf and factorial-moment terms against a 50-digit oracle."""
+
+    NMAX = 4000
+
+    @pytest.mark.parametrize("alpha", [0.06, 0.3, 0.5, 0.74])
+    @pytest.mark.parametrize("t", [0.01, 1.0, 50.0])
+    def test_terms_match_recurrence(self, alpha, t):
+        params = ModelParams(alpha, 1.0)
+        tp = params.at(t)
+        reference = _reference_terms(alpha, tp.mean, self.NMAX)
+        for n, refs in enumerate(reference, start=1):
+            _check_terms(params, tp, n, refs)
+
+    @pytest.mark.parametrize("t", [1e-15, 1e-12, 1e-6])
+    def test_mean_just_below_one(self, params_half, t):
+        # 1 - M spans a few ulps to 1e-7: Gamma(1 - M) sits next to its pole
+        tp = params_half.at(t)
+        assert tp.mean < 1.0
+        reference = _reference_terms(0.5, tp.mean, 300)
+        for n, refs in enumerate(reference, start=1):
+            _check_terms(params_half, tp, n, refs)
+
+    def test_term_at_one_million(self):
+        n = 10**6
+        params = ModelParams(0.74, 1.0)
+        tp = params.at(0.01)
+        with mp.workdps(50):
+            a, m = mp.mpf(params.alpha), mp.mpf(tp.mean)
+            # |[M]_n| = M (1 - M) ... (n - 1 - M), the telescoped recurrence
+            log_ff = mp.log(m * mp.rf(1 - m, n - 1))
+            log_p = (1 - m) * mp.log1p(-a) + n * mp.log(a) + log_ff - mp.loggamma(n + 1)
+            p = mp.exp(log_p)
+            c = p / (1 - (1 - a) ** m)
+            assert abs(_log_falling_mean(tp.mean, n) - log_ff) <= _term_rel_bound(n)
+        _check_terms(params, tp, n, (p, c, mp.inf, mp.inf))
+
+    # at 0.06 and 0.25 the general log-space assembly misses 1.0 by an ulp
+    @pytest.mark.parametrize("alpha", [0.06, 0.25, 0.5])
+    def test_unit_atom_where_mean_rounds_to_one(self, alpha):
+        params = ModelParams(alpha, 1.0)
+        tp = params.at(1e-18)
+        assert tp.t > 0.0 and tp.mean == 1.0
+        assert pmf(params, tp, 1) == 1.0
+        assert conditional_pmf(params, tp, 1) == 1.0
+        for n in (0, 2, 3, 1000):
+            assert pmf(params, tp, n) == 0.0
+        for n in (2, 3, 1000):
+            assert conditional_pmf(params, tp, n) == 0.0
+            assert factorial_moment(params, tp, n) == 0.0
+            assert conditional_factorial_moment(params, tp, n) == 0.0
+        assert factorial_moment(params, tp, 1) == pytest.approx(1.0, rel=1e-15)
+        assert law_at(params, tp) == law_at(params, params.at(0.0))
 
 
 class TestFactorialMoments:

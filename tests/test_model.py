@@ -75,7 +75,7 @@ class TestModelParams:
         params = ModelParams(0.772638, 1.0)
         assert offspring_pmf(params, 1) > 0.0
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
     def test_rejects_bad_rate(self, rate):
         with pytest.raises(DomainError):
             ModelParams(0.5, rate)
@@ -89,6 +89,12 @@ class TestModelParams:
     def test_at_rejects_negative_time(self, params_half):
         with pytest.raises(DomainError):
             params_half.at(-0.5)
+
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_at_rejects_non_finite_time(self, params_half, t):
+        # the check fires in at(), not later as a "mean must lie in (0, 1]"
+        with pytest.raises(DomainError, match="time must be nonnegative and finite"):
+            params_half.at(t)
 
 
 class TestOffspringPmf:
