@@ -11,6 +11,7 @@ from .closed_form import (
     DiscreteLaw,
     SignedLog,
     conditional_factorial_moment,
+    conditional_family,
     conditional_law_at,
     conditional_pgf,
     conditional_pmf,
@@ -45,7 +46,6 @@ from .errors import (
 from .model import (
     ALPHA_CRITICAL,
     ModelParams,
-    OffspringLaw,
     TimePoint,
     critical_alpha,
     infinitesimal_gen,
@@ -79,7 +79,6 @@ from .verify import (
     ode_suite,
     run_suite,
     standard_mechanisms,
-    table1_closed_form,
     table1_suite,
 )
 

@@ -19,6 +19,7 @@ import sys
 import click
 
 from . import closed_form
+from .distributions import LogSeries
 from .errors import (
     DomainError,
     NumericalDivergence,
@@ -123,8 +124,8 @@ def pmf(alpha, rate, time_, nmax, conditional, fmt):
         if nmax < start:
             raise DomainError(f"nmax must be at least {start}, got {nmax!r}")
         if conditional:
-            values = [closed_form.conditional_pmf(params, tp, n)
-                      for n in range(start, nmax + 1)]
+            term = closed_form.conditional_family(params, tp).pmf
+            values = [term(n) for n in range(start, nmax + 1)]
         else:
             values = [closed_form.pmf(params, tp, n)
                       for n in range(start, nmax + 1)]
@@ -151,16 +152,16 @@ def pmf(alpha, rate, time_, nmax, conditional, fmt):
 def limit(alpha, nmax, fmt):
     """Long-time law conditioned on survival (logarithmic series), with its
     factorial moments; moments past float range are left empty."""
-    params = _make_params(alpha, 1.0)
+    law = LogSeries(_make_params(alpha, 1.0).alpha)
     if nmax < 1:
         raise click.UsageError(f"nmax must be at least 1, got {nmax!r}")
     rows = []
     values = []
     for n in range(1, nmax + 1):
-        p = closed_form.limit_law_pmf(params, n)
+        p = law.pmf(n)
         values.append(p)
         try:
-            moment = closed_form.limit_law_factorial_moment(params, n)
+            moment = law.factorial_moment(n)
         except OverflowError:
             moment = None
         rows.append([n, p, moment])

@@ -7,8 +7,12 @@ the population size X(t) started from a single particle is
     F(t, s) = (1/alpha) * (1 - (1 - alpha) * R(s)^M),
     R(s) = (1 - alpha s) / (1 - alpha),
 
-from which the pmf, factorial moments, the law conditioned on survival, and
-the long-time conditional limit (a logarithmic series law) all follow.
+from which the pmf and the factorial moments follow.  The two laws the paper
+identifies are evaluated through their families in ``distributions``: given
+survival, X(t) is exactly ExtendedSibuya(M, alpha), and its long-time limit
+is exactly LogSeries(alpha).  The ``conditional_*`` and ``limit_law*``
+functions map (params, tp) to that family and add only the t > 0 check and
+the exact unit atom where M rounds to 1.
 
 Every term of the pmf and of the factorial moments carries the falling
 factorial |[M]_n| = M (1 - M) (2 - M) ... (n - 1 - M).  For 0 < M < 1 and
@@ -24,6 +28,7 @@ overflows before the caller asks for an ordinary float.
 import math
 from dataclasses import dataclass
 
+from .distributions import ExtendedSibuya, LogSeries, _log_falling_mean
 from .errors import DomainError, PrecisionLoss
 from .model import ModelParams, TimePoint
 
@@ -73,15 +78,31 @@ def falling_factorial(x: float, n: int) -> SignedLog:
     return SignedLog(sign, log_mag)
 
 
-def _log_falling_mean(m: float, n: int) -> float:
-    """log |[M]_n| for the mean 0 < M <= 1 and n >= 1, in O(1) work.
-
-    Below 1 this is log M + lgamma(n - M) - lgamma(1 - M).  At M = 1 the
-    product is 1 for n = 1 and 0 beyond (log -inf), never lgamma(0).
+class _UnitAtom:
+    """All mass at 1: the law of X(t) wherever M rounds to 1 (t = 0, or t > 0
+    too small for exp(malthusian_rate t) to leave 1), with or without
+    conditioning on survival.  It is the gamma -> 1 end of
+    ExtendedSibuya(gamma, alpha), which that family's (0, 1) domain leaves
+    out; its pmf and its factorial moments are both 1 at n = 1 and 0 beyond.
     """
-    if m == 1.0:
-        return 0.0 if n == 1 else float("-inf")
-    return math.log(m) + math.lgamma(n - m) - math.lgamma(1.0 - m)
+
+    def pmf(self, n: int) -> float:
+        if n < 1:
+            raise DomainError(f"support starts at 1, got {n!r}")
+        return 1.0 if n == 1 else 0.0
+
+    def factorial_moment(self, n: int) -> float:
+        if n < 1:
+            raise DomainError(f"moment order must be positive, got {n!r}")
+        return 1.0 if n == 1 else 0.0
+
+    def pgf(self, s: float) -> float:
+        if not abs(s) <= 1.0:
+            raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
+        return s
+
+
+_UNIT_ATOM = _UnitAtom()
 
 
 def _log_ratio(params: ModelParams, s: float) -> float:
@@ -143,14 +164,12 @@ def pmf(params: ModelParams, tp: TimePoint, n: int) -> float:
     For n >= 1 and 0 < M < 1 this is
     ((1-alpha)^(1-M)/alpha) alpha^n |[M]_n| / n!, assembled in log space with
     |[M]_n| = M Gamma(n - M) / Gamma(1 - M), so one term costs O(1) for any n.
-    Where M rounds to 1 (t = 0, or t so small that exp(malthusian_rate t)
-    rounds to 1) the law is exactly the unit atom at 1: [1]_n vanishes for
-    n >= 2.
+    Where M rounds to 1 the law is exactly the unit atom at 1.
     """
     if n < 0:
         raise DomainError(f"population size must be nonnegative, got {n!r}")
     if tp.mean == 1.0:
-        return 1.0 if n == 1 else 0.0
+        return _UNIT_ATOM.pmf(n) if n > 0 else 0.0
     if n == 0:
         return extinction_prob(params, tp)
     a = params.alpha
@@ -169,6 +188,8 @@ def factorial_moment(params: ModelParams, tp: TimePoint, n: int) -> float:
     """E[X(t) (X(t)-1) ... (X(t)-n+1)] = ((1-alpha)/alpha) (alpha/(1-alpha))^n |[M]_n|."""
     if n < 1:
         raise DomainError(f"moment order must be positive, got {n!r}")
+    if tp.mean == 1.0:
+        return _UNIT_ATOM.factorial_moment(n)
     a = params.alpha
     log_odds = math.log(a) - math.log1p(-a)
     return math.exp(
@@ -176,90 +197,49 @@ def factorial_moment(params: ModelParams, tp: TimePoint, n: int) -> float:
     )
 
 
-def _log_survival_factor(params: ModelParams, tp: TimePoint) -> float:
-    # log(1 - (1 - alpha)^M) = log(-expm1(-M A)), the conditional normalizer
-    return math.log(-math.expm1(-tp.mean * params.log_norm))
+def conditional_family(params: ModelParams, tp: TimePoint):
+    """The law of X(t) given X(t) > 0, for t > 0: ExtendedSibuya(M, alpha).
 
-
-def _require_positive_time(tp: TimePoint) -> None:
+    Where M rounds to 1 this is the unit atom at 1, the family's gamma -> 1
+    end.  The result has ``pmf``, ``pgf`` and ``factorial_moment``; build it
+    once to evaluate many terms at the same time point.
+    """
     if not tp.t > 0.0:
         raise DomainError("conditioning on survival requires t > 0")
+    if tp.mean == 1.0:
+        return _UNIT_ATOM
+    return ExtendedSibuya(tp.mean, params.alpha)
 
 
 def conditional_pmf(params: ModelParams, tp: TimePoint, n: int) -> float:
     """P(X(t) = n | X(t) > 0) = alpha^n |[M]_n| / (n! (1 - (1-alpha)^M))."""
-    _require_positive_time(tp)
-    if n < 1:
-        raise DomainError(f"conditional support starts at 1, got {n!r}")
-    if tp.mean == 1.0:
-        return 1.0 if n == 1 else 0.0
-    log_p = (
-        n * math.log(params.alpha)
-        + _log_falling_mean(tp.mean, n)
-        - math.lgamma(n + 1.0)
-        - _log_survival_factor(params, tp)
-    )
-    return math.exp(log_p)
+    return conditional_family(params, tp).pmf(n)
 
 
 def conditional_factorial_moment(params: ModelParams, tp: TimePoint, n: int) -> float:
     """E[[X(t)]_n | X(t) > 0] = (alpha/(1-alpha))^n (1-alpha)^M |[M]_n| / (1 - (1-alpha)^M)."""
-    _require_positive_time(tp)
-    if n < 1:
-        raise DomainError(f"moment order must be positive, got {n!r}")
-    a = params.alpha
-    log_odds = math.log(a) - math.log1p(-a)
-    log_m = (
-        n * log_odds
-        + tp.mean * math.log1p(-a)
-        + _log_falling_mean(tp.mean, n)
-        - _log_survival_factor(params, tp)
-    )
-    return math.exp(log_m)
+    return conditional_family(params, tp).factorial_moment(n)
 
 
 def conditional_pgf(params: ModelParams, tp: TimePoint, s: float) -> float:
-    """E[s^X(t) | X(t) > 0] = (1 - (1 - alpha s)^M) / (1 - (1 - alpha)^M).
-
-    Both numerator and denominator go through expm1, so the ratio keeps full
-    precision however small M gets; s = 1 returns exactly 1.
-    """
-    _require_positive_time(tp)
-    if not abs(s) <= 1.0:
-        raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
-    num = math.expm1(tp.mean * math.log1p(-params.alpha * s))
-    den = math.expm1(tp.mean * math.log1p(-params.alpha))
-    return num / den
+    """E[s^X(t) | X(t) > 0] = (1 - (1 - alpha s)^M) / (1 - (1 - alpha)^M)."""
+    return conditional_family(params, tp).pgf(s)
 
 
 def limit_law_pmf(params: ModelParams, n: int) -> float:
-    """Long-time conditional limit: P(xi = n) = alpha^n / (A n), n >= 1."""
-    if n < 1:
-        raise DomainError(f"limit-law support starts at 1, got {n!r}")
-    return params.alpha**n / (params.log_norm * n)
+    """Long-time conditional limit LogSeries(alpha): P(xi = n) = alpha^n / (A n), n >= 1."""
+    return LogSeries(params.alpha).pmf(n)
 
 
 def limit_law_pgf(params: ModelParams, s: float) -> float:
     """Generating function of the limit law: -log(1 - alpha s) / A."""
-    if not abs(s) <= 1.0:
-        raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
-    return math.log1p(-params.alpha * s) / math.log1p(-params.alpha)
-
-
-def limit_law_factorial_moment_log(params: ModelParams, n: int) -> SignedLog:
-    """E[[xi]_n] = ((n-1)!/A) (alpha/(1-alpha))^n as a signed log pair."""
-    if n < 1:
-        raise DomainError(f"moment order must be positive, got {n!r}")
-    a = params.alpha
-    log_odds = math.log(a) - math.log1p(-a)
-    log_m = math.lgamma(n) - math.log(params.log_norm) + n * log_odds
-    return SignedLog(1, log_m)
+    return LogSeries(params.alpha).pgf(s)
 
 
 def limit_law_factorial_moment(params: ModelParams, n: int) -> float:
-    """Float value of the limit-law factorial moment; OverflowError when it
+    """E[[xi]_n] = ((n-1)!/A) (alpha/(1-alpha))^n; OverflowError when it
     exceeds float range (the moments grow like (n-1)!)."""
-    return limit_law_factorial_moment_log(params, n).value()
+    return LogSeries(params.alpha).factorial_moment(n)
 
 
 @dataclass(frozen=True)
@@ -320,15 +300,12 @@ def law_at(params: ModelParams, tp: TimePoint, tail_bound: float = 1e-12) -> Dis
 def conditional_law_at(params: ModelParams, tp: TimePoint,
                        tail_bound: float = 1e-12) -> DiscreteLaw:
     """Table of P(X(t) = n | X(t) > 0) from n = 1, same tail certificate."""
-    _require_positive_time(tp)
-    return _build_law(lambda n: conditional_pmf(params, tp, n), 1,
-                      params.alpha, tail_bound)
+    return _build_law(conditional_family(params, tp).pmf, 1, params.alpha, tail_bound)
 
 
 def limit_law(params: ModelParams, tail_bound: float = 1e-12) -> DiscreteLaw:
     """Table of the logarithmic-series limit law from n = 1."""
-    return _build_law(lambda n: limit_law_pmf(params, n), 1,
-                      params.alpha, tail_bound)
+    return _build_law(LogSeries(params.alpha).pmf, 1, params.alpha, tail_bound)
 
 
 def tv_distance(law_a: DiscreteLaw, law_b: DiscreteLaw) -> float:

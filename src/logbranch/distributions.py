@@ -1,20 +1,27 @@
 """Heavy-tailed discrete laws and exact inverse-CDF samplers.
 
-Three standalone families live here: the Sibuya law (pgf 1 - (1-s)^gamma),
-its extended two-parameter variant (pgf scaled to (1 - (1-bs)^gamma) /
-(1 - (1-b)^gamma)), and the logarithmic series law.  The extended family
-matters because the branching process conditioned on survival is exactly
-extended-Sibuya with gamma = M(t) and b = alpha.
+Three families live here: the Sibuya law (pgf 1 - (1-s)^gamma), its extended
+two-parameter variant (pgf (1 - (1-bs)^gamma) / (1 - (1-b)^gamma)), and the
+logarithmic series law.  They are the laws of the branching process's two
+results, and ``closed_form`` evaluates both through them: given survival,
+X(t) is exactly ExtendedSibuya(M(t), alpha), and its long-time conditional
+limit is exactly LogSeries(alpha).
 
-Sampling is exact: a prefix of the CDF is tabulated and inverted by bisection;
-draws falling past the table either invert a closed-form survival function
-(plain Sibuya, whose tail is heavier than every geometric) or run rejection
-under a certified geometric envelope p(n+1) <= r p(n).
+Every term costs O(1).  The Sibuya-family terms carry the falling factorial
+|[gamma]_n| = gamma (1 - gamma) ... (n - 1 - gamma), which for 0 < gamma < 1
+telescopes to gamma Gamma(n - gamma) / Gamma(1 - gamma) and is assembled in
+log space through ``lgamma``.
+
+Sampling is exact: a prefix of the CDF is tabulated from the pmf and inverted
+by bisection; draws falling past the table either invert a closed-form
+survival function (plain Sibuya, whose tail is heavier than every geometric)
+or run rejection under a certified geometric envelope p(n+1) <= r p(n).
 """
 
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,9 +43,19 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _log_falling_mean(m: float, n: int) -> float:
+    """log |[m]_n| for 0 < m < 1 and n >= 1, in O(1) work.
+
+    |[m]_n| = m (1 - m) (2 - m) ... (n - 1 - m) telescopes to
+    m Gamma(n - m) / Gamma(1 - m), so the log is
+    log m + lgamma(n - m) - lgamma(1 - m).
+    """
+    return math.log(m) + math.lgamma(n - m) - math.lgamma(1.0 - m)
+
+
 @dataclass(frozen=True)
 class Sibuya:
-    """Sibuya law on {1, 2, ...}: P(N = 1) = gamma, P(N=n+1) = P(N=n)(n-gamma)/(n+1)."""
+    """Sibuya law on {1, 2, ...}: P(N = n) = |[gamma]_n| / n!, 0 < gamma < 1."""
 
     gamma: float
 
@@ -49,18 +66,7 @@ class Sibuya:
     def pmf(self, n: int) -> float:
         if n < 1:
             raise DomainError(f"support starts at 1, got {n!r}")
-        p = self.gamma
-        for k in range(1, n):
-            p *= (k - self.gamma) / (k + 1.0)
-        return p
-
-    def _pmf_iter(self):
-        p = self.gamma
-        n = 1
-        while True:
-            yield p
-            p *= (n - self.gamma) / (n + 1.0)
-            n += 1
+        return math.exp(_log_falling_mean(self.gamma, n) - math.lgamma(n + 1.0))
 
     def survival(self, n: int) -> float:
         """P(N > n) = Gamma(n+1-gamma) / (Gamma(1-gamma) Gamma(n+1)), exact via lgamma."""
@@ -82,47 +88,58 @@ class Sibuya:
         return -math.expm1(self.gamma * math.log1p(-s))
 
     def sampler(self, **kwargs) -> "InverseCdfSampler":
-        return InverseCdfSampler(
-            self._pmf_iter, self.pmf, support_start=1,
-            survival=self.survival, **kwargs,
-        )
+        return InverseCdfSampler(self.pmf, 1, survival=self.survival, **kwargs)
 
 
 @dataclass(frozen=True)
 class ExtendedSibuya:
     """Two-parameter Sibuya variant on {1, 2, ...} with pgf
-    (1 - (1 - b s)^gamma) / (1 - (1 - b)^gamma), 0 < gamma < 1, 0 < b < 1."""
+    (1 - (1 - b s)^gamma) / (1 - (1 - b)^gamma), 0 < gamma < 1, 0 < b < 1.
+
+    P(N = n) = b^n |[gamma]_n| / (n! (1 - (1 - b)^gamma)).  ``log_norm`` is
+    log(1 - (1 - b)^gamma), taken through expm1 so it keeps full precision
+    however small gamma gets.
+    """
 
     gamma: float
     b: float
+    log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"gamma must lie in (0, 1), got {self.gamma!r}")
         if not 0.0 < self.b < 1.0:
             raise DomainError(f"b must lie in (0, 1), got {self.b!r}")
-
-    def _norm(self) -> float:
-        # 1 - (1 - b)^gamma without cancellation
-        return -math.expm1(self.gamma * math.log1p(-self.b))
+        object.__setattr__(
+            self, "log_norm", math.log(-math.expm1(self.gamma * math.log1p(-self.b)))
+        )
 
     def pmf(self, n: int) -> float:
         if n < 1:
             raise DomainError(f"support starts at 1, got {n!r}")
-        p = self.gamma * self.b / self._norm()
-        for k in range(1, n):
-            p *= self.b * (k - self.gamma) / (k + 1.0)
-        return p
+        return math.exp(
+            n * math.log(self.b)
+            + _log_falling_mean(self.gamma, n)
+            - math.lgamma(n + 1.0)
+            - self.log_norm
+        )
 
-    def _pmf_iter(self):
-        p = self.gamma * self.b / self._norm()
-        n = 1
-        while True:
-            yield p
-            p *= self.b * (n - self.gamma) / (n + 1.0)
-            n += 1
+    def factorial_moment(self, n: int) -> float:
+        """E[[N]_n] = (b/(1-b))^n (1-b)^gamma |[gamma]_n| / (1 - (1-b)^gamma);
+        OverflowError when it exceeds float range."""
+        if n < 1:
+            raise DomainError(f"moment order must be positive, got {n!r}")
+        log_odds = math.log(self.b) - math.log1p(-self.b)
+        return math.exp(
+            n * log_odds
+            + self.gamma * math.log1p(-self.b)
+            + _log_falling_mean(self.gamma, n)
+            - self.log_norm
+        )
 
     def pgf(self, s: float) -> float:
+        """Numerator and denominator both go through expm1, so the ratio keeps
+        full precision however small gamma gets; s = 1 returns exactly 1."""
         if not abs(s) <= 1.0:
             raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
         num = math.expm1(self.gamma * math.log1p(-self.b * s))
@@ -130,19 +147,17 @@ class ExtendedSibuya:
 
     def mean(self) -> float:
         """gamma b (1-b)^(gamma-1) / (1 - (1-b)^gamma)."""
-        scale = math.exp((self.gamma - 1.0) * math.log1p(-self.b))
-        return self.gamma * self.b * scale / self._norm()
+        log_scale = (self.gamma - 1.0) * math.log1p(-self.b) - self.log_norm
+        return self.gamma * self.b * math.exp(log_scale)
 
     def sampler(self, **kwargs) -> "InverseCdfSampler":
-        return InverseCdfSampler(
-            self._pmf_iter, self.pmf, support_start=1,
-            ratio_bound=self.b, **kwargs,
-        )
+        return InverseCdfSampler(self.pmf, 1, ratio_bound=self.b, **kwargs)
 
 
 @dataclass(frozen=True)
 class LogSeries:
-    """Logarithmic series law on {1, 2, ...}: P(N = n) = alpha^n / (A n)."""
+    """Logarithmic series law on {1, 2, ...}: P(N = n) = alpha^n / (A n),
+    A = -log(1 - alpha)."""
 
     alpha: float
     log_norm: float = field(init=False, repr=False, compare=False)
@@ -157,13 +172,16 @@ class LogSeries:
             raise DomainError(f"support starts at 1, got {n!r}")
         return self.alpha**n / (self.log_norm * n)
 
-    def _pmf_iter(self):
-        n = 1
-        while True:
-            yield self.alpha**n / (self.log_norm * n)
-            n += 1
+    def factorial_moment(self, n: int) -> float:
+        """E[[N]_n] = ((n-1)!/A) (alpha/(1-alpha))^n; OverflowError when it
+        exceeds float range (the moments grow like (n-1)!)."""
+        if n < 1:
+            raise DomainError(f"moment order must be positive, got {n!r}")
+        log_odds = math.log(self.alpha) - math.log1p(-self.alpha)
+        return math.exp(math.lgamma(n) - math.log(self.log_norm) + n * log_odds)
 
     def pgf(self, s: float) -> float:
+        """-log(1 - alpha s) / A."""
         if not abs(s) <= 1.0:
             raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
         return math.log1p(-self.alpha * s) / math.log1p(-self.alpha)
@@ -172,31 +190,13 @@ class LogSeries:
         return self.alpha / (self.log_norm * (1.0 - self.alpha))
 
     def sampler(self, **kwargs) -> "InverseCdfSampler":
-        return InverseCdfSampler(
-            self._pmf_iter, self.pmf, support_start=1,
-            ratio_bound=self.alpha, **kwargs,
-        )
-
-
-def _offspring_pmf_iter(params: ModelParams):
-    yield offspring_pmf(params, 0)
-    yield offspring_pmf(params, 1)
-    p = offspring_pmf(params, 2)
-    n = 2
-    while True:
-        yield p
-        p *= params.alpha * (n - 1.0) / (n + 1.0)
-        n += 1
+        return InverseCdfSampler(self.pmf, 1, ratio_bound=self.alpha, **kwargs)
 
 
 def offspring_sampler(params: ModelParams, **kwargs) -> "InverseCdfSampler":
     """Exact sampler for the reproduction law; tail ratio alpha holds from n >= 2."""
     return InverseCdfSampler(
-        lambda: _offspring_pmf_iter(params),
-        lambda n: offspring_pmf(params, n),
-        support_start=0,
-        ratio_bound=params.alpha,
-        **kwargs,
+        partial(offspring_pmf, params), 0, ratio_bound=params.alpha, **kwargs
     )
 
 
@@ -210,7 +210,7 @@ class InverseCdfSampler:
     under the geometric envelope pmf(edge+1) * ratio_bound^(k - edge - 1).
     """
 
-    def __init__(self, pmf_iter, pmf, support_start: int, ratio_bound: float = None,
+    def __init__(self, pmf, support_start: int, ratio_bound: float = None,
                  survival=None, warm_mass: float = 0.99, max_table: int = 4096):
         if ratio_bound is None and survival is None:
             raise DomainError("a tail strategy (ratio_bound or survival) is required")
@@ -224,9 +224,8 @@ class InverseCdfSampler:
         self._survival = survival
         cum = []
         total = 0.0
-        it = pmf_iter()
         while (total < warm_mass or len(cum) < 3) and len(cum) < max_table:
-            total += next(it)
+            total += pmf(support_start + len(cum))
             cum.append(total)
         self._cum = cum
         self._cum_arr = np.array(cum)

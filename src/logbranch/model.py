@@ -84,7 +84,12 @@ class ModelParams:
         """Time point carrying the decayed mean E[X(t)] = exp(malthusian_rate * t)."""
         if not 0.0 <= t < math.inf:
             raise DomainError(f"time must be nonnegative and finite, got {t!r}")
-        return TimePoint(t, math.exp(self.malthusian_rate * t))
+        mean = math.exp(self.malthusian_rate * t)
+        if mean == 0.0:
+            raise DomainError(
+                f"mean exp({self.malthusian_rate!r} * t) underflows to 0 at t={t!r}"
+            )
+        return TimePoint(t, mean)
 
 
 @dataclass(frozen=True)
@@ -139,29 +144,3 @@ def infinitesimal_gen(params: ModelParams, s: float) -> float:
     stable_log = math.log1p(a * (1.0 - s) / (1.0 - a))
     return (params.rate * a / params.log_norm) * (1.0 - a * s) * stable_log
 
-
-@dataclass(frozen=True)
-class OffspringLaw:
-    """The offspring distribution bundled with its generating function."""
-
-    params: ModelParams
-
-    def pmf(self, n: int) -> float:
-        return offspring_pmf(self.params, n)
-
-    def pgf(self, s: float) -> float:
-        return reproduction_pgf(self.params, s)
-
-    def mean(self) -> float:
-        return self.params.offspring_mean
-
-    def tail_bound(self, n: int) -> float:
-        """Upper bound on P(eta > n) for n >= 2, from the geometric ratio alpha.
-
-        For n >= 2 the pmf ratio alpha (n - 1) / (n + 1) stays below alpha, so
-        the tail past n is at most pmf(n) * alpha / (1 - alpha).
-        """
-        if n < 2:
-            raise DomainError("tail bound requires n >= 2")
-        a = self.params.alpha
-        return self.pmf(n) * a / (1.0 - a)

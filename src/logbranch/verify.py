@@ -16,12 +16,12 @@ Every check returns a CheckResult; a result passes when residual <= tolerance.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import closed_form
+from .distributions import ExtendedSibuya, LogSeries
 from .errors import DomainError, NumericalDivergence, PrecisionLoss
 from .model import ModelParams
 
@@ -42,6 +42,10 @@ class Mechanism:
     pgf: Callable
     complement: Callable
     limit_pgf: Callable
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.rate < math.inf:
+            raise DomainError(f"rate must be positive and finite, got {self.rate!r}")
 
     def drift(self, x: float) -> float:
         return self.rate * (self.pgf(x) - x)
@@ -77,7 +81,7 @@ def log_mixture_mechanism(params: ModelParams) -> Mechanism:
         mean=params.offspring_mean,
         pgf=h,
         complement=phi,
-        limit_pgf=partial(closed_form.limit_law_pgf, params),
+        limit_pgf=LogSeries(params.alpha).pgf,
     )
 
 
@@ -86,8 +90,6 @@ def geometric_mechanism(m: float, rate: float = 1.0) -> Mechanism:
     F*(s) = 1 - (1 - s)(1 - m s)^(-m)."""
     if not 0.0 < m < 1.0:
         raise DomainError(f"mean must lie in (0, 1), got {m!r}")
-    if not rate > 0.0:
-        raise DomainError(f"rate must be positive, got {rate!r}")
 
     def h(s: float) -> float:
         return 1.0 / (1.0 + m * (1.0 - s))
@@ -112,8 +114,6 @@ def binary_mechanism(m: float = None, rho: float = None, rate: float = 1.0) -> M
         m = 2.0 * rho / (1.0 + rho)
     if not 0.0 < m < 1.0:
         raise DomainError(f"mean must lie in (0, 1), got {m!r}")
-    if not rate > 0.0:
-        raise DomainError(f"rate must be positive, got {rate!r}")
     rho_eff = m / (2.0 - m)
 
     def h(s: float) -> float:
@@ -133,8 +133,6 @@ def linear_mechanism(m: float, rate: float = 1.0) -> Mechanism:
     degenerate at 1, F*(s) = s."""
     if not 0.0 < m < 1.0:
         raise DomainError(f"mean must lie in (0, 1), got {m!r}")
-    if not rate > 0.0:
-        raise DomainError(f"rate must be positive, got {rate!r}")
 
     def h(s: float) -> float:
         return 1.0 - m + m * s
@@ -286,13 +284,6 @@ def numeric_conditional_limit(mech: Mechanism, s_grid, mean_target: float = 1e-3
     return np.array(ratios)
 
 
-def table1_closed_form(mech: Mechanism, s: float) -> float:
-    """Closed-form conditional limit generating function of a mechanism."""
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"limit pgf is defined on [0, 1], got {s!r}")
-    return mech.limit_pgf(s)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """A named residual against its tolerance; passes when residual <= tolerance."""
@@ -419,7 +410,7 @@ def table1_suite(mean_target: float = 1e-3) -> list:
     s_grid = np.linspace(0.0, 1.0, 6)
     for mech in standard_mechanisms():
         ratios = numeric_conditional_limit(mech, s_grid, mean_target)
-        exact = np.array([table1_closed_form(mech, float(s)) for s in s_grid])
+        exact = np.array([mech.limit_pgf(float(s)) for s in s_grid])
         worst = float(np.max(np.abs(ratios - exact)))
         results.append(_result(f"limit_law_{mech.name}", worst, 1e-4))
     return results
@@ -449,17 +440,16 @@ def limit_suite(params: ModelParams = None) -> list:
     )
     results.append(_result("tv_rate_consistency", spread, 3.0))
 
-    from .distributions import ExtendedSibuya
-
+    # the family against the conditional pgf 1 - (1 - F(t, s)) / P(X(t) > 0)
+    # derived from F, not against conditional_pgf, which is the family itself
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
         tp = params.at(t)
         bridge = ExtendedSibuya(tp.mean, params.alpha)
+        survival = closed_form.survival_prob(params, tp)
         for s in np.linspace(0.0, 1.0, 21):
-            worst = max(worst, abs(
-                closed_form.conditional_pgf(params, tp, float(s))
-                - bridge.pgf(float(s))
-            ))
+            from_f = 1.0 - closed_form.pgf_complement(params, tp, float(s)) / survival
+            worst = max(worst, abs(from_f - bridge.pgf(float(s))))
     results.append(_result("extended_sibuya_bridge", worst, 1e-12))
 
     t_small = math.log(1e-4) / params.malthusian_rate

@@ -33,13 +33,13 @@ from logbranch import (
     check_implicit_solution,
     conditional_factorial_moment,
     conditional_law_at,
-    conditional_pgf,
     critical_alpha,
     extinction_prob,
     factorial_moment,
     limit_law,
     ode_suite,
     pgf_at,
+    pgf_complement,
     pmf,
     conditional_pmf,
     survival_prob,
@@ -192,7 +192,9 @@ def test_criterion_8_conditional_family(capsys):
         tp = params.at(rng.uniform(0.1, 5.0))
         family = ExtendedSibuya(gamma=tp.mean, b=params.alpha)
         s = rng.uniform(0.0, 1.0)
-        gap = abs(conditional_pgf(params, tp, s) - family.pgf(s))
+        # conditional pgf from F: 1 - (1 - F(t, s)) / P(X(t) > 0)
+        from_f = 1.0 - pgf_complement(params, tp, s) / survival_prob(params, tp)
+        gap = abs(from_f - family.pgf(s))
         worst = max(worst, gap)
     ok = worst <= 1e-12
     _verdict(capsys, "conditional law family",

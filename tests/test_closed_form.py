@@ -8,8 +8,10 @@ from mpmath import mp
 
 from logbranch import (
     DomainError,
+    ExtendedSibuya,
     ModelParams,
     PrecisionLoss,
+    Sibuya,
     SignedLog,
     conditional_factorial_moment,
     conditional_law_at,
@@ -29,13 +31,8 @@ from logbranch import (
     survival_prob,
     tv_distance,
 )
-from logbranch.closed_form import (
-    _build_law,
-    _log_falling_mean,
-    limit_law_factorial_moment_log,
-    pgf_ds,
-    pgf_dt,
-)
+from logbranch.closed_form import _build_law, pgf_ds, pgf_dt
+from logbranch.distributions import _log_falling_mean
 from logbranch.model import infinitesimal_gen
 
 alphas = st.floats(min_value=0.01, max_value=0.75)
@@ -387,6 +384,59 @@ class TestTermPrecision:
         assert law_at(params, tp) == law_at(params, params.at(0.0))
 
 
+def _reference_family_terms(gamma, b, nmax):
+    """50-digit Sibuya(gamma) pmf, ExtendedSibuya(gamma, b) pmf and
+    ExtendedSibuya(gamma, b) factorial moment for n = 1..nmax, from
+
+        term(n + 1) = term(n) * (n - gamma) / (n + 1)        (Sibuya pmf)
+        term(n + 1) = term(n) * b (n - gamma) / (n + 1)      (extended pmf)
+        term(n + 1) = term(n) * (b/(1-b)) (n - gamma)        (factorial moment)
+
+    at the float gamma and b, so only the term evaluation is under test.
+    """
+    with mp.workdps(50):
+        g, b = mp.mpf(gamma), mp.mpf(b)
+        odds = b / (1 - b)
+        keep = (1 - b) ** g
+        terms = [(g, g * b / (1 - keep), odds * keep * g / (1 - keep))]
+        for n in range(1, nmax):
+            p, c, f = terms[-1]
+            q = (n - g) / (n + 1)
+            terms.append((p * q, c * b * q, f * odds * (n - g)))
+        return terms
+
+
+def _check_family_terms(gamma, b, n, refs):
+    plain, extended = Sibuya(gamma), ExtendedSibuya(gamma, b)
+    for term, ref in zip((plain.pmf, extended.pmf, extended.factorial_moment), refs):
+        _check_term(lambda: term(n), ref, n)
+
+
+class TestFamilyTermPrecision:
+    """The Sibuya-family terms that the conditional law is evaluated through,
+    against a 50-digit oracle at the bound of TestTermPrecision."""
+
+    @pytest.mark.parametrize("gamma", [1e-8, 0.05, 0.3, 0.5, 0.77, 1.0 - 1e-12])
+    @pytest.mark.parametrize("b", [0.06, 0.5, 0.9, 0.99])
+    def test_terms_match_recurrence(self, gamma, b):
+        reference = _reference_family_terms(gamma, b, TestTermPrecision.NMAX)
+        for n, refs in enumerate(reference, start=1):
+            _check_family_terms(gamma, b, n, refs)
+
+    @pytest.mark.parametrize("gamma,b", [(0.05, 0.99), (0.5, 0.9), (0.77, 0.5)])
+    def test_term_at_one_million(self, gamma, b):
+        n = 10**6
+        with mp.workdps(50):
+            g, bm = mp.mpf(gamma), mp.mpf(b)
+            # |[gamma]_n| = gamma (1 - gamma) ... (n - 1 - gamma)
+            falling = g * mp.rf(1 - g, n - 1)
+            norm = 1 - (1 - bm) ** g
+            plain = falling / mp.factorial(n)
+            extended = bm**n * plain / norm
+            moment = (bm / (1 - bm)) ** n * (1 - bm) ** g * falling / norm
+        _check_family_terms(gamma, b, n, (plain, extended, moment))
+
+
 class TestFactorialMoments:
     def test_first_is_mean(self, params_half):
         for t in (0.0, 0.5, 2.0):
@@ -507,9 +557,6 @@ class TestLimitLaw:
     def test_moment_overflow(self, params_half):
         with pytest.raises(OverflowError):
             limit_law_factorial_moment(params_half, 300)
-        log_form = limit_law_factorial_moment_log(params_half, 300)
-        assert log_form.sign == 1
-        assert log_form.log_magnitude > 700.0
 
     def test_conditional_law_converges(self, params_half):
         # TV to the limit decreases along a doubling time grid and tracks M(t)

@@ -133,14 +133,16 @@ class TestExtendedSibuya:
         assert law.mean() == pytest.approx(series, rel=1e-10)
 
     def test_matches_conditional_law(self, params_half):
-        # the process at time t conditioned on survival is exactly this family
-        from logbranch import conditional_pmf
+        # the process at time t conditioned on survival is exactly this family;
+        # the other side is P(X(t) = n) / P(X(t) > 0) from the unconditional law
+        from logbranch import pmf, survival_prob
 
         tp = params_half.at(1.0)
         law = ExtendedSibuya(tp.mean, params_half.alpha)
+        survival = survival_prob(params_half, tp)
         for n in range(1, 30):
             assert law.pmf(n) == pytest.approx(
-                conditional_pmf(params_half, tp, n), rel=1e-12)
+                pmf(params_half, tp, n) / survival, rel=1e-12)
 
     @pytest.mark.parametrize("gamma,b", [(0.5, 0.0), (0.5, 1.0), (0.0, 0.5), (1.0, 0.5)])
     def test_rejects_bad_params(self, gamma, b):
@@ -241,4 +243,4 @@ class TestSamplers:
         from logbranch import InverseCdfSampler
 
         with pytest.raises(DomainError):
-            InverseCdfSampler(lambda: iter([0.5, 0.5]), lambda n: 0.5, 1)
+            InverseCdfSampler(lambda n: 0.5**n, 1)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from logbranch import (
     ALPHA_CRITICAL,
     DomainError,
     ModelParams,
-    OffspringLaw,
     critical_alpha,
     infinitesimal_gen,
     offspring_pmf,
@@ -96,6 +96,13 @@ class TestModelParams:
         with pytest.raises(DomainError, match="time must be nonnegative and finite"):
             params_half.at(t)
 
+    def test_at_rejects_underflowing_mean(self, params_half):
+        # exp(malthusian_rate t) underflows to 0 past t ~ 2065 at alpha 0.5;
+        # the error names t, not a mean outside (0, 1]
+        with pytest.raises(DomainError, match=r"underflows to 0 at t=2100\.0"):
+            params_half.at(2100.0)
+        assert 0.0 < params_half.at(1990.0).mean < sys.float_info.min
+
 
 class TestOffspringPmf:
     def test_reference_values(self, params_half):
@@ -112,7 +119,7 @@ class TestOffspringPmf:
     def test_normalizes(self, alpha):
         params = ModelParams(alpha, 1.0)
         head = math.fsum(offspring_pmf(params, n) for n in range(200))
-        tail = OffspringLaw(params).tail_bound(199)
+        tail = offspring_pmf(params, 199) * alpha / (1.0 - alpha)
         assert head <= 1.0 + 1e-12
         assert abs(1.0 - head) <= tail + 1e-12
 

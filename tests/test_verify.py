@@ -22,7 +22,6 @@ from logbranch import (
     run_suite,
     standard_mechanisms,
     survival_prob,
-    table1_closed_form,
 )
 from logbranch.verify import Mechanism
 
@@ -78,6 +77,12 @@ class TestMechanisms:
         lambda: linear_mechanism(1.2),
         lambda: binary_mechanism(m=-0.1),
         lambda: geometric_mechanism(0.5, rate=0.0),
+        lambda: geometric_mechanism(0.5, rate=math.inf),
+        lambda: geometric_mechanism(0.5, rate=math.nan),
+        lambda: binary_mechanism(m=0.5, rate=math.inf),
+        lambda: binary_mechanism(m=0.5, rate=math.nan),
+        lambda: linear_mechanism(0.5, rate=math.inf),
+        lambda: linear_mechanism(0.5, rate=math.nan),
     ])
     def test_rejects_bad_parameters(self, factory):
         with pytest.raises(DomainError):
@@ -186,7 +191,7 @@ class TestConditionalLimits:
         mech = geometric_mechanism(0.5)
         s_grid = np.linspace(0.0, 1.0, 5)
         ratios = numeric_conditional_limit(mech, s_grid, 1e-2)
-        exact = np.array([table1_closed_form(mech, float(s)) for s in s_grid])
+        exact = np.array([mech.limit_pgf(float(s)) for s in s_grid])
         assert np.max(np.abs(ratios - exact)) < 1e-3
 
     def test_endpoints(self):
@@ -207,10 +212,8 @@ class TestConditionalLimits:
 
     def test_table_closed_forms_at_endpoints(self):
         for mech in standard_mechanisms():
-            assert table1_closed_form(mech, 0.0) == pytest.approx(0.0, abs=1e-15)
-            assert table1_closed_form(mech, 1.0) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(DomainError):
-            table1_closed_form(standard_mechanisms()[0], -0.2)
+            assert mech.limit_pgf(0.0) == pytest.approx(0.0, abs=1e-15)
+            assert mech.limit_pgf(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSuites:
