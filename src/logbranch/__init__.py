@@ -54,12 +54,9 @@ from .model import (
 )
 from .simulate import (
     EmpiricalLaw,
-    Population,
     SimConfig,
     estimate_law,
-    run_replicate,
     simulate_counts,
-    step,
 )
 from .verify import (
     CheckResult,

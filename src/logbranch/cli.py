@@ -5,9 +5,10 @@ long-time conditional law), ``simulate`` (Monte Carlo with closed-form
 columns alongside), and ``verify`` (numerical cross-check suites).
 
 Output is CSV by default (RFC 4180, floats at 10 significant digits) or JSON
-with ``--format json`` (floats at 17 significant digits, so values
-round-trip exactly).  Exit codes: 0 success, 1 a verification check failed,
-2 usage or domain error, 3 population cap exceeded.
+with ``--format json`` (``json.dumps``, which writes each float as the
+shortest repr that round-trips exactly).  Exit codes: 0 success, 1 a
+verification check failed, 2 usage or domain error, 3 population cap
+exceeded.
 """
 
 import csv
@@ -30,37 +31,7 @@ from .model import ModelParams
 from .simulate import SimConfig, estimate_law
 from .verify import run_suite
 
-SCHEMA_VERSION = "1"
-
-
-def _json_fragment(value, indent):
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f'{pad}  {json.dumps(k)}: {_json_fragment(v, indent + 1)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [f"{pad}  {_json_fragment(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
-    if value is None:
-        return "null"
-    return json.dumps(value)
-
-
-def _render_json(record) -> str:
-    return _json_fragment(record, 0)
+SCHEMA_VERSION = "2"
 
 
 def _csv_cell(value) -> str:
@@ -84,7 +55,7 @@ def _render_csv(columns, rows) -> str:
 
 def _emit(record, columns, rows, fmt) -> None:
     if fmt == "json":
-        click.echo(_render_json(record))
+        click.echo(json.dumps(record, indent=2))
     else:
         click.echo(_render_csv(columns, rows), nl=False)
 
@@ -200,6 +171,7 @@ def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt)
         raise click.UsageError(f"cannot parse horizon list {times!r}")
     try:
         cfg = SimConfig(params, horizons, replicates, seed, max_population)
+        tps = [params.at(t) for t in horizons]
         if workers < 1:
             raise DomainError(f"workers must be positive, got {workers!r}")
     except DomainError as exc:
@@ -214,8 +186,7 @@ def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt)
                "model_extinction"]
     rows = []
     horizon_blocks = []
-    for law in laws:
-        tp = params.at(law.time)
+    for law, tp in zip(laws, tps):
         model_mean = tp.mean
         model_ext = closed_form.extinction_prob(params, tp)
         emp_mean = law.mean()

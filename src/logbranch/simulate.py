@@ -11,23 +11,13 @@ makes runs reproducible replicate by replicate and independent of scheduling.
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import InverseCdfSampler, offspring_sampler, stream
 from .errors import DomainError, PopulationCapExceeded
 from .model import ModelParams
-
-_SAMPLER_CACHE: dict = {}
-
-
-def _cached_sampler(params: ModelParams) -> InverseCdfSampler:
-    sampler = _SAMPLER_CACHE.get(params)
-    if sampler is None:
-        sampler = offspring_sampler(params)
-        _SAMPLER_CACHE[params] = sampler
-    return sampler
 
 
 @dataclass(frozen=True)
@@ -60,48 +50,19 @@ class SimConfig:
             )
 
 
-@dataclass
-class Population:
-    """Mutable marker for a trajectory position: particle count at a time."""
-
-    count: int
-    now: float = 0.0
-
-
-def step(pop: Population, params: ModelParams, rng: np.random.Generator,
-         sampler: InverseCdfSampler = None,
-         max_population: int = 10_000_000) -> Population:
-    """Advance one event: exponential wait at rate ``rate * count``, then one
-    particle is replaced by an offspring draw.  The caller must not step an
-    extinct population (state 0 is absorbing)."""
-    if pop.count <= 0:
-        raise DomainError("cannot step an extinct population")
-    if sampler is None:
-        sampler = _cached_sampler(params)
-    wait = rng.standard_exponential() / (params.rate * pop.count)
-    count = pop.count + sampler.draw(rng) - 1
-    if count > max_population:
-        raise PopulationCapExceeded(
-            f"population {count} exceeded cap {max_population}"
-        )
-    return Population(count, pop.now + wait)
-
-
 def simulate_counts(params: ModelParams, horizons, rng: np.random.Generator,
                     sampler: InverseCdfSampler = None,
-                    max_population: int = 10_000_000,
-                    initial_count: int = 1) -> np.ndarray:
-    """Counts observed at each horizon along one trajectory.
+                    max_population: int = 10_000_000) -> np.ndarray:
+    """Counts observed at each horizon along one trajectory from X(0) = 1.
 
     The event loop never simulates past the last horizon, and an extinct
-    population fills the remaining horizons with zeros immediately.
+    population fills the remaining horizons with zeros immediately.  Without
+    ``sampler``, a fresh ``offspring_sampler(params)`` is built.
     """
-    if initial_count < 0:
-        raise DomainError(f"initial count must be nonnegative, got {initial_count!r}")
     if sampler is None:
-        sampler = _cached_sampler(params)
+        sampler = offspring_sampler(params)
     out = np.empty(len(horizons), dtype=np.int64)
-    count = initial_count
+    count = 1
     t = 0.0
     i = 0
     n_horizons = len(horizons)
@@ -124,13 +85,6 @@ def simulate_counts(params: ModelParams, horizons, rng: np.random.Generator,
             raise PopulationCapExceeded(
                 f"population {count} exceeded cap {max_population}"
             )
-
-
-def run_replicate(cfg: SimConfig, index: int) -> np.ndarray:
-    """Counts at each configured horizon for replicate ``index``, from X(0) = 1."""
-    rng = stream(cfg.seed, index)
-    return simulate_counts(cfg.params, cfg.horizons, rng,
-                           _cached_sampler(cfg.params), cfg.max_population)
 
 
 @dataclass(frozen=True)
@@ -165,7 +119,7 @@ def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
     params = cfg.params
     horizons = cfg.horizons
     cap = cfg.max_population
-    sampler = _cached_sampler(params)
+    sampler = offspring_sampler(params)
     for index in range(start, stop):
         rng = stream(cfg.seed, index)
         counts = simulate_counts(params, horizons, rng, sampler, cap)

@@ -476,8 +476,8 @@ def run_suite(name: str = "all") -> list:
     """Run one named suite, or every suite in a fixed order for "all"."""
     if name == "all":
         results = []
-        for key in ("closed-form", "ode", "table1", "limit"):
-            results.extend(_SUITES[key]())
+        for suite in _SUITES.values():
+            results.extend(suite())
         return results
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from "

@@ -66,11 +66,13 @@ class TestPmfCommand:
                                      "--t", "1", "--nmax", "5", "--format", "json"])
         assert result.exit_code == 0
         record = json.loads(result.output)
-        assert record["schema_version"] == "1"
+        assert record["schema_version"] == "2"
         assert record["command"] == "pmf"
+        assert isinstance(record["params"]["k"], float)
+        assert record["params"]["k"] == 1.0
         tp = params_half.at(1.0)
         for n, p in record["rows"]:
-            # 17 significant digits reproduce the double exactly
+            # a float's shortest repr parses back to the same double
             assert p == pmf(params_half, tp, n)
         assert record["tail_mass"] >= 0.0
 
@@ -149,7 +151,7 @@ class TestSimulateCommand:
     def test_json_shape(self, runner):
         result = runner.invoke(cli, self.ARGS + ["--format", "json"])
         record = json.loads(result.output)
-        assert record["schema_version"] == "1"
+        assert record["schema_version"] == "2"
         assert [h["time"] for h in record["horizons"]] == [0.5, 1.0]
         head = record["horizons"][0]
         assert sum(r[1] for r in head["rows"]) == 2000
@@ -158,6 +160,12 @@ class TestSimulateCommand:
         result = runner.invoke(cli, ["simulate", "--alpha", "0.5", "--k", "1",
                                      "--times", "1", "--replicates", "0"])
         assert result.exit_code == 2
+
+    def test_rejects_underflowing_horizon(self, runner):
+        result = runner.invoke(cli, ["simulate", "--alpha", "0.5", "--k", "1",
+                                     "--times", "1,2100", "--replicates", "10"])
+        assert result.exit_code == 2
+        assert "t=2100.0" in result.output
 
     def test_rejects_malformed_times(self, runner):
         result = runner.invoke(cli, ["simulate", "--alpha", "0.5", "--k", "1",

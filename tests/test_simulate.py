@@ -9,7 +9,6 @@ from logbranch import (
     DomainError,
     EmpiricalLaw,
     ModelParams,
-    Population,
     PopulationCapExceeded,
     SimConfig,
     conditional_pmf,
@@ -18,9 +17,7 @@ from logbranch import (
     factorial_moment,
     offspring_sampler,
     pmf,
-    run_replicate,
     simulate_counts,
-    step,
     stream,
 )
 
@@ -60,62 +57,59 @@ class TestSimConfig:
 
 
 class TestStep:
-    def test_rejects_extinct(self, params_half):
-        with pytest.raises(DomainError):
-            step(Population(0), params_half, stream(1, 0))
+    """One event of the ``simulate_counts`` loop, with a scripted offspring
+    count passed through ``sampler=``."""
 
     def test_unit_offspring_keeps_count(self, params_half):
-        pop = step(Population(3, 1.0), params_half, stream(1, 0), sampler=_FixedDraw(1))
-        assert pop.count == 3
-        assert pop.now > 1.0
+        counts = simulate_counts(params_half, (0.5, 1.0, 50.0), stream(1, 0),
+                                 sampler=_FixedDraw(1))
+        assert counts.tolist() == [1, 1, 1]
 
     def test_death_decrements(self, params_half):
-        pop = step(Population(3), params_half, stream(1, 0), sampler=_FixedDraw(0))
-        assert pop.count == 2
+        counts = simulate_counts(params_half, (1e-12, 50.0, 100.0), stream(1, 0),
+                                 sampler=_FixedDraw(0))
+        assert counts.tolist() == [1, 0, 0]
 
     def test_burst_increments(self, params_half):
-        pop = step(Population(1), params_half, stream(1, 0), sampler=_FixedDraw(5))
-        assert pop.count == 5
+        # _FixedDraw takes no draws, so the holding times are the stream's
+        # exponentials scaled by rate * count for counts 1, 5 and 9
+        rng = stream(1, 0)
+        horizons = []
+        now = 0.0
+        for count in (1, 5, 9):
+            wait = rng.standard_exponential() / (params_half.rate * count)
+            horizons.append(now + wait / 2)
+            now += wait
+        counts = simulate_counts(params_half, tuple(horizons), stream(1, 0),
+                                 sampler=_FixedDraw(5))
+        assert counts.tolist() == [1, 5, 9]
 
     def test_cap_enforced(self, params_half):
+        # 1 -> 5 -> 9 -> 13 passes the cap on the third event
         with pytest.raises(PopulationCapExceeded):
-            step(Population(10), params_half, stream(1, 0),
-                 sampler=_FixedDraw(5), max_population=12)
+            simulate_counts(params_half, (100.0,), stream(1, 0),
+                            sampler=_FixedDraw(5), max_population=12)
 
-    def test_holding_time_mean(self, params_half):
-        # from count 4 the wait is Exp(4 rate): sample mean within 4 SE of 1/4
-        rng = stream(31, 0)
-        waits = [step(Population(4), params_half, rng).now for _ in range(50_000)]
-        sample_mean = np.mean(waits)
-        se = np.std(waits) / math.sqrt(len(waits))
-        assert abs(sample_mean - 0.25) < 4 * se
-
-    def test_rate_speeds_clock(self):
-        # doubling the rate halves the expected wait
-        slow = ModelParams(0.5, 1.0)
-        fast = ModelParams(0.5, 4.0)
-        rng_s, rng_f = stream(8, 0), stream(8, 0)
-        wait_s = np.mean([step(Population(1), slow, rng_s).now for _ in range(20_000)])
-        wait_f = np.mean([step(Population(1), fast, rng_f).now for _ in range(20_000)])
-        assert wait_s / wait_f == pytest.approx(4.0, rel=0.1)
+    @pytest.mark.parametrize("rate, seed, draws",
+                             [(1.0, 31, 50_000), (4.0, 8, 20_000)],
+                             ids=["rate-1", "rate-4"])
+    def test_first_event_clock(self, rate, seed, draws):
+        # from X(0) = 1 the first event comes after Exp(rate), and death makes
+        # it the last: P(X(h) = 1) = exp(-rate * h), within 4 SE
+        params = ModelParams(0.5, rate)
+        h = 0.25
+        rng = stream(seed, 0)
+        alive = np.mean([simulate_counts(params, (h,), rng, sampler=_FixedDraw(0))[0]
+                         for _ in range(draws)])
+        expected = math.exp(-rate * h)
+        se = math.sqrt(expected * (1.0 - expected) / draws)
+        assert abs(alive - expected) < 4 * se
 
 
 class TestSimulateCounts:
     def test_horizon_before_first_event(self, params_half):
         counts = simulate_counts(params_half, (1e-12,), stream(3, 0))
         assert counts.tolist() == [1]
-
-    def test_initial_count_respected(self, params_half):
-        counts = simulate_counts(params_half, (1e-12,), stream(3, 0), initial_count=7)
-        assert counts.tolist() == [7]
-
-    def test_initial_zero_is_absorbing(self, params_half):
-        counts = simulate_counts(params_half, (0.5, 1.0), stream(3, 0), initial_count=0)
-        assert counts.tolist() == [0, 0]
-
-    def test_rejects_negative_initial(self, params_half):
-        with pytest.raises(DomainError):
-            simulate_counts(params_half, (1.0,), stream(3, 0), initial_count=-1)
 
     def test_zero_stays_absorbed(self, params_half):
         horizons = (0.5, 1.0, 2.0, 4.0)
@@ -139,13 +133,18 @@ class TestSimulateCounts:
 
 
 class TestRunReplicate:
+    """A replicate is ``simulate_counts`` on its stream ``stream(seed, index)``."""
+
+    HORIZONS = (0.5, 1.0, 2.0)
+
     def test_deterministic(self, params_half):
-        cfg = SimConfig(params_half, (0.5, 1.0, 2.0), 100, 42)
-        assert np.array_equal(run_replicate(cfg, 7), run_replicate(cfg, 7))
+        first = simulate_counts(params_half, self.HORIZONS, stream(42, 7))
+        second = simulate_counts(params_half, self.HORIZONS, stream(42, 7))
+        assert np.array_equal(first, second)
 
     def test_replicates_differ(self, params_half):
-        cfg = SimConfig(params_half, (0.5, 1.0, 2.0), 100, 42)
-        rows = [tuple(run_replicate(cfg, i)) for i in range(25)]
+        rows = [tuple(simulate_counts(params_half, self.HORIZONS, stream(42, i)))
+                for i in range(25)]
         assert len(set(rows)) > 1
 
 
