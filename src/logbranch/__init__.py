@@ -2,26 +2,22 @@
 
 The time-t population law has a fully closed form; this package computes it,
 cross-checks it against direct integration of the backward equation and
-against exact event-driven simulation, and exposes the heavy-tailed discrete
-laws (Sibuya family, logarithmic series) that appear as its conditional and
-long-time limits.
+against exact event-driven simulation, and exposes the two heavy-tailed
+discrete laws that are its conditional law given survival
+(``ExtendedSibuya(M(t), alpha)``) and its long-time conditional limit
+(``LogSeries(alpha)``).
 """
 
 from .closed_form import (
     DiscreteLaw,
-    SignedLog,
-    conditional_factorial_moment,
     conditional_family,
     conditional_law_at,
-    conditional_pgf,
     conditional_pmf,
     extinction_prob,
     factorial_moment,
-    falling_factorial,
     law_at,
     limit_law,
     limit_law_factorial_moment,
-    limit_law_pgf,
     limit_law_pmf,
     pgf_at,
     pgf_complement,
@@ -33,7 +29,6 @@ from .distributions import (
     ExtendedSibuya,
     InverseCdfSampler,
     LogSeries,
-    Sibuya,
     offspring_sampler,
     stream,
 )

@@ -9,10 +9,13 @@ the population size X(t) started from a single particle is
 
 from which the pmf and the factorial moments follow.  The two laws the paper
 identifies are evaluated through their families in ``distributions``: given
-survival, X(t) is exactly ExtendedSibuya(M, alpha), and its long-time limit
-is exactly LogSeries(alpha).  The ``conditional_*`` and ``limit_law*``
-functions map (params, tp) to that family and add only the t > 0 check and
-the exact unit atom where M rounds to 1.
+survival, X(t) is exactly ExtendedSibuya(M, alpha), which
+``conditional_family`` returns after the t > 0 check (the exact unit atom
+where M rounds to 1), and its long-time limit is exactly LogSeries(alpha).
+``conditional_pmf``, ``limit_law_pmf`` and ``limit_law_factorial_moment``
+are one-line wrappers over those families, kept only because the
+benchmark's traced replay (``perfbench/spans.py``) calls them by name; call
+the families directly instead.
 
 Every term of the pmf and of the factorial moments carries the falling
 factorial |[M]_n| = M (1 - M) (2 - M) ... (n - 1 - M).  For 0 < M < 1 and
@@ -31,51 +34,6 @@ from dataclasses import dataclass
 from .distributions import ExtendedSibuya, LogSeries, _log_falling_mean
 from .errors import DomainError, PrecisionLoss
 from .model import ModelParams, TimePoint
-
-
-@dataclass(frozen=True)
-class SignedLog:
-    """A real number stored as (sign, log|value|).
-
-    Survives magnitudes far outside float range; ``value()`` converts back
-    and raises OverflowError when the magnitude genuinely cannot be
-    represented.
-    """
-
-    sign: int
-    log_magnitude: float
-
-    @classmethod
-    def of(cls, x: float) -> "SignedLog":
-        if x == 0.0:
-            return cls(0, float("-inf"))
-        return cls(1 if x > 0.0 else -1, math.log(abs(x)))
-
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-    def __mul__(self, other: "SignedLog") -> "SignedLog":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLog(0, float("-inf"))
-        return SignedLog(self.sign * other.sign, self.log_magnitude + other.log_magnitude)
-
-
-def falling_factorial(x: float, n: int) -> SignedLog:
-    """[x]_n = x (x-1) ... (x-n+1) as a signed log-magnitude pair; [x]_0 = 1."""
-    if n < 0:
-        raise DomainError(f"falling factorial order must be nonnegative, got {n!r}")
-    sign = 1
-    log_mag = 0.0
-    for k in range(n):
-        term = x - k
-        if term == 0.0:
-            return SignedLog(0, float("-inf"))
-        if term < 0.0:
-            sign = -sign
-        log_mag += math.log(abs(term))
-    return SignedLog(sign, log_mag)
 
 
 class _UnitAtom:
@@ -137,27 +95,6 @@ def extinction_prob(params: ModelParams, tp: TimePoint) -> float:
     return 1.0 - survival_prob(params, tp)
 
 
-def pgf_dt(params: ModelParams, tp: TimePoint, s: float) -> float:
-    """Exact time derivative of F(t, s).
-
-    d/dt F = -((1-alpha)/alpha) R^M * M' log R with M' = malthusian_rate * M,
-    so the result is rate*(alpha/A)*(1-alpha) * M * R^M * log R >= 0.
-    """
-    if not abs(s) <= 1.0:
-        raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
-    a = params.alpha
-    log_r = _log_ratio(params, s)
-    power = math.exp(tp.mean * log_r)
-    return (params.rate * a / params.log_norm) * (1.0 - a) * tp.mean * power * log_r
-
-
-def pgf_ds(params: ModelParams, tp: TimePoint, s: float) -> float:
-    """Exact s-derivative of F(t, s): M * R(s)^(M-1)."""
-    if not abs(s) <= 1.0:
-        raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
-    return tp.mean * math.exp((tp.mean - 1.0) * _log_ratio(params, s))
-
-
 def pmf(params: ModelParams, tp: TimePoint, n: int) -> float:
     """P(X(t) = n).
 
@@ -216,24 +153,9 @@ def conditional_pmf(params: ModelParams, tp: TimePoint, n: int) -> float:
     return conditional_family(params, tp).pmf(n)
 
 
-def conditional_factorial_moment(params: ModelParams, tp: TimePoint, n: int) -> float:
-    """E[[X(t)]_n | X(t) > 0] = (alpha/(1-alpha))^n (1-alpha)^M |[M]_n| / (1 - (1-alpha)^M)."""
-    return conditional_family(params, tp).factorial_moment(n)
-
-
-def conditional_pgf(params: ModelParams, tp: TimePoint, s: float) -> float:
-    """E[s^X(t) | X(t) > 0] = (1 - (1 - alpha s)^M) / (1 - (1 - alpha)^M)."""
-    return conditional_family(params, tp).pgf(s)
-
-
 def limit_law_pmf(params: ModelParams, n: int) -> float:
     """Long-time conditional limit LogSeries(alpha): P(xi = n) = alpha^n / (A n), n >= 1."""
     return LogSeries(params.alpha).pmf(n)
-
-
-def limit_law_pgf(params: ModelParams, s: float) -> float:
-    """Generating function of the limit law: -log(1 - alpha s) / A."""
-    return LogSeries(params.alpha).pgf(s)
 
 
 def limit_law_factorial_moment(params: ModelParams, n: int) -> float:

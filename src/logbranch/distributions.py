@@ -1,21 +1,21 @@
 """Heavy-tailed discrete laws and exact inverse-CDF samplers.
 
-Three families live here: the Sibuya law (pgf 1 - (1-s)^gamma), its extended
-two-parameter variant (pgf (1 - (1-bs)^gamma) / (1 - (1-b)^gamma)), and the
-logarithmic series law.  They are the laws of the branching process's two
-results, and ``closed_form`` evaluates both through them: given survival,
-X(t) is exactly ExtendedSibuya(M(t), alpha), and its long-time conditional
-limit is exactly LogSeries(alpha).
+Two families live here: ExtendedSibuya, with pgf
+(1 - (1-bs)^gamma) / (1 - (1-b)^gamma), and LogSeries, the logarithmic
+series law.  They are the laws of the branching process's two results, and
+``closed_form`` evaluates both through them: given survival, X(t) is exactly
+ExtendedSibuya(M(t), alpha), and its long-time conditional limit is exactly
+LogSeries(alpha).
 
-Every term costs O(1).  The Sibuya-family terms carry the falling factorial
+Every term costs O(1).  The ExtendedSibuya terms carry the falling factorial
 |[gamma]_n| = gamma (1 - gamma) ... (n - 1 - gamma), which for 0 < gamma < 1
 telescopes to gamma Gamma(n - gamma) / Gamma(1 - gamma) and is assembled in
 log space through ``lgamma``.
 
 Sampling is exact: a prefix of the CDF is tabulated from the pmf and inverted
-by bisection; draws falling past the table either invert a closed-form
-survival function (plain Sibuya, whose tail is heavier than every geometric)
-or run rejection under a certified geometric envelope p(n+1) <= r p(n).
+by bisection; draws falling past the table run rejection under a certified
+geometric envelope p(n+1) <= r p(n), the one tail path every sampled law
+here (both families and the offspring law) admits.
 """
 
 import bisect
@@ -54,46 +54,8 @@ def _log_falling_mean(m: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class Sibuya:
-    """Sibuya law on {1, 2, ...}: P(N = n) = |[gamma]_n| / n!, 0 < gamma < 1."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma!r}")
-
-    def pmf(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"support starts at 1, got {n!r}")
-        return math.exp(_log_falling_mean(self.gamma, n) - math.lgamma(n + 1.0))
-
-    def survival(self, n: int) -> float:
-        """P(N > n) = Gamma(n+1-gamma) / (Gamma(1-gamma) Gamma(n+1)), exact via lgamma."""
-        if n < 0:
-            raise DomainError(f"survival index must be nonnegative, got {n!r}")
-        if n == 0:
-            return 1.0
-        return math.exp(
-            math.lgamma(n + 1.0 - self.gamma)
-            - math.lgamma(1.0 - self.gamma)
-            - math.lgamma(n + 1.0)
-        )
-
-    def pgf(self, s: float) -> float:
-        if not abs(s) <= 1.0:
-            raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
-        if s == 1.0:
-            return 1.0
-        return -math.expm1(self.gamma * math.log1p(-s))
-
-    def sampler(self, **kwargs) -> "InverseCdfSampler":
-        return InverseCdfSampler(self.pmf, 1, survival=self.survival, **kwargs)
-
-
-@dataclass(frozen=True)
 class ExtendedSibuya:
-    """Two-parameter Sibuya variant on {1, 2, ...} with pgf
+    """Two-parameter power-series law on {1, 2, ...} with pgf
     (1 - (1 - b s)^gamma) / (1 - (1 - b)^gamma), 0 < gamma < 1, 0 < b < 1.
 
     P(N = n) = b^n |[gamma]_n| / (n! (1 - (1 - b)^gamma)).  ``log_norm`` is
@@ -201,27 +163,27 @@ def offspring_sampler(params: ModelParams, **kwargs) -> "InverseCdfSampler":
 
 
 class InverseCdfSampler:
-    """Exact sampler: tabulated CDF prefix plus a certified tail strategy.
+    """Exact sampler: tabulated CDF prefix plus a certified geometric tail.
 
-    The table is warmed to ``warm_mass`` cumulative probability (capped at
-    ``max_table`` entries, floor of 3 so geometric ratio certificates apply).
-    Uniform draws landing past the table are resolved exactly, either by
-    inverting ``survival`` (doubling then integer bisection) or by rejection
-    under the geometric envelope pmf(edge+1) * ratio_bound^(k - edge - 1).
+    The table is warmed to ``warm_mass`` cumulative probability, with at
+    least 3 and at most ``max_table`` entries, so that the geometric ratio
+    certificate pmf(n+1) <= ratio_bound * pmf(n) holds from the table edge
+    on for every law sampled here.  Uniform draws landing past the table are
+    resolved exactly by rejection under the envelope
+    pmf(edge+1) * ratio_bound^(k - edge - 1).
     """
 
-    def __init__(self, pmf, support_start: int, ratio_bound: float = None,
-                 survival=None, warm_mass: float = 0.99, max_table: int = 4096):
-        if ratio_bound is None and survival is None:
-            raise DomainError("a tail strategy (ratio_bound or survival) is required")
-        if ratio_bound is not None and not 0.0 < ratio_bound < 1.0:
+    def __init__(self, pmf, support_start: int, ratio_bound: float,
+                 warm_mass: float = 0.99, max_table: int = 4096):
+        if not 0.0 < ratio_bound < 1.0:
             raise DomainError(f"ratio bound must lie in (0, 1), got {ratio_bound!r}")
         if not 0.0 < warm_mass < 1.0:
             raise DomainError(f"warm mass must lie in (0, 1), got {warm_mass!r}")
+        if max_table < 3:
+            raise DomainError(f"max table must be at least 3, got {max_table!r}")
         self._pmf = pmf
         self._support_start = support_start
         self._ratio_bound = ratio_bound
-        self._survival = survival
         cum = []
         total = 0.0
         while (total < warm_mass or len(cum) < 3) and len(cum) < max_table:
@@ -235,36 +197,15 @@ class InverseCdfSampler:
         u = rng.random()
         if u < self._cum[-1]:
             return self._support_start + bisect.bisect_right(self._cum, u)
-        return self._draw_tail(rng, u)
+        return self._reject_geometric(rng)
 
     def draw_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
         idx = np.searchsorted(self._cum_arr, u, side="right")
         out = self._support_start + idx
         for pos in np.flatnonzero(idx == len(self._cum)):
-            out[pos] = self._draw_tail(rng, u[pos])
+            out[pos] = self._reject_geometric(rng)
         return out
-
-    def _draw_tail(self, rng: np.random.Generator, u: float) -> int:
-        if self._survival is not None:
-            return self._invert_survival(1.0 - u)
-        return self._reject_geometric(rng)
-
-    def _invert_survival(self, v: float) -> int:
-        # smallest n with survival(n) < v; survival(support_end) >= v on entry
-        lo = self._support_end
-        span = 1
-        while self._survival(lo + span) >= v:
-            lo += span
-            span *= 2
-        hi = lo + span
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._survival(mid) < v:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     def _reject_geometric(self, rng: np.random.Generator) -> int:
         edge = self._support_end

@@ -29,17 +29,15 @@ def _unit_atom_deficit(x: float) -> float:
     return x * x * (1.0 + 1.0 / (-math.log1p(-x))) - 1.0
 
 
-def critical_alpha(tol: float = 1e-12) -> float:
+def critical_alpha() -> float:
     """Largest admissible mixture weight, located by bisection.
 
-    The deficit x^2 (1 + 1/A(x)) - 1 is negative near 0 and positive near 1
-    and crosses zero exactly once, so plain bisection converges to the root
-    to within ``tol``.
+    The deficit x^2 (1 + 1/A(x)) - 1 is negative at 1e-6 and positive at
+    1 - 1e-9 and crosses zero exactly once, so plain bisection converges to
+    the root to within 1e-12.
     """
     lo, hi = 1e-6, 1.0 - 1e-9
-    if not (_unit_atom_deficit(lo) < 0.0 < _unit_atom_deficit(hi)):
-        raise RuntimeError("bisection bracket lost")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if _unit_atom_deficit(mid) < 0.0:
             lo = mid

@@ -104,15 +104,6 @@ class EmpiricalLaw:
     def extinction_freq(self) -> float:
         return self.counts.get(0, 0) / self.replicates
 
-    def pgf_estimate(self, s: float) -> float:
-        return math.fsum(c * s**n for n, c in self.counts.items()) / self.replicates
-
-    def conditional_prob(self, n: int) -> float:
-        alive = self.replicates - self.counts.get(0, 0)
-        if alive == 0:
-            raise DomainError("no surviving replicates to condition on")
-        return self.counts.get(n, 0) / alive if n >= 1 else 0.0
-
 
 def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
     tallies = [Counter() for _ in cfg.horizons]

@@ -165,7 +165,6 @@ def standard_mechanisms() -> tuple:
 class OdeSolution:
     """A fixed-step trajectory; values[i] approximates the state at times[i]."""
 
-    start: float
     step: float
     times: np.ndarray
     values: np.ndarray
@@ -182,10 +181,12 @@ class OdeSolution:
 
 
 def _rk4(field: Callable, x0: float, t_end: float, step: float) -> OdeSolution:
-    if not t_end > 0.0:
-        raise DomainError(f"integration horizon must be positive, got {t_end!r}")
-    if not step > 0.0:
-        raise DomainError(f"step must be positive, got {step!r}")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(
+            f"integration horizon must be positive and finite, got {t_end!r}"
+        )
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step!r}")
     n_full = int(t_end / step)
     remainder = t_end - n_full * step
     steps = [step] * n_full
@@ -208,7 +209,7 @@ def _rk4(field: Callable, x0: float, t_end: float, step: float) -> OdeSolution:
             )
         values.append(x)
         times.append(t)
-    return OdeSolution(x0, step, np.array(times), np.array(values))
+    return OdeSolution(step, np.array(times), np.array(values))
 
 
 def integrate_backward(mech: Mechanism, s0: float, t_end: float,
@@ -441,7 +442,7 @@ def limit_suite(params: ModelParams = None) -> list:
     results.append(_result("tv_rate_consistency", spread, 3.0))
 
     # the family against the conditional pgf 1 - (1 - F(t, s)) / P(X(t) > 0)
-    # derived from F, not against conditional_pgf, which is the family itself
+    # derived from F, not against conditional_family, which is the family itself
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
         tp = params.at(t)
@@ -456,8 +457,8 @@ def limit_suite(params: ModelParams = None) -> list:
     tp = params.at(t_small)
     worst = 0.0
     for n in range(1, 6):
-        lim = closed_form.limit_law_factorial_moment(params, n)
-        cond = closed_form.conditional_factorial_moment(params, tp, n)
+        lim = LogSeries(params.alpha).factorial_moment(n)
+        cond = closed_form.conditional_family(params, tp).factorial_moment(n)
         worst = max(worst, abs(cond - lim) / lim)
     results.append(_result("conditional_moments_to_limit", worst, 1e-2))
 

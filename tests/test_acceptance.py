@@ -31,7 +31,7 @@ from logbranch import (
     ExtendedSibuya,
     ModelParams,
     check_implicit_solution,
-    conditional_factorial_moment,
+    conditional_family,
     conditional_law_at,
     critical_alpha,
     extinction_prob,
@@ -41,7 +41,6 @@ from logbranch import (
     pgf_at,
     pgf_complement,
     pmf,
-    conditional_pmf,
     survival_prob,
     table1_suite,
     tv_distance,
@@ -92,8 +91,7 @@ def test_criterion_3_monte_carlo(capsys, big_sim, gof_pvalue):
         p_full = gof_pvalue(law.counts, lambda k: pmf(cfg.params, tp, k),
                             start=0, nbins=26)
         survivors = {k: c for k, c in law.counts.items() if k > 0}
-        p_cond = gof_pvalue(survivors,
-                            lambda k: conditional_pmf(cfg.params, tp, k),
+        p_cond = gof_pvalue(survivors, conditional_family(cfg.params, tp).pmf,
                             start=1, nbins=25)
 
         q = extinction_prob(cfg.params, tp)
@@ -164,7 +162,7 @@ def test_criterion_6_factorial_moments(capsys):
             approx = _nth_derivative(lambda s: _raw_pgf(PARAMS, tp.mean, s),
                                      1.0, n, h=0.05)
             worst_fd = max(worst_fd, abs(approx - exact) / exact)
-            recombined = (conditional_factorial_moment(PARAMS, tp, n)
+            recombined = (conditional_family(PARAMS, tp).factorial_moment(n)
                           * survival_prob(PARAMS, tp))
             worst_split = max(worst_split, abs(recombined - exact) / exact)
     ok = worst_fd < 1e-4 and worst_split < 1e-12

@@ -9,21 +9,17 @@ from mpmath import mp
 from logbranch import (
     DomainError,
     ExtendedSibuya,
+    LogSeries,
     ModelParams,
     PrecisionLoss,
-    Sibuya,
-    SignedLog,
-    conditional_factorial_moment,
+    conditional_family,
     conditional_law_at,
-    conditional_pgf,
     conditional_pmf,
     extinction_prob,
     factorial_moment,
-    falling_factorial,
     law_at,
     limit_law,
     limit_law_factorial_moment,
-    limit_law_pgf,
     limit_law_pmf,
     pgf_at,
     pgf_complement,
@@ -31,7 +27,7 @@ from logbranch import (
     survival_prob,
     tv_distance,
 )
-from logbranch.closed_form import _build_law, pgf_ds, pgf_dt
+from logbranch.closed_form import _build_law
 from logbranch.distributions import _log_falling_mean
 from logbranch.model import infinitesimal_gen
 
@@ -58,59 +54,19 @@ def _richardson_derivative(f, s, n, h):
     return (4.0 * diff(h / 2) - diff(h)) / 3.0
 
 
-class TestSignedLog:
-    @given(v=st.floats(min_value=-690.0, max_value=690.0), neg=st.booleans())
-    @settings(max_examples=120, deadline=None)
-    def test_round_trip(self, v, neg):
-        x = math.exp(v) * (-1.0 if neg else 1.0)
-        assert SignedLog.of(x).value() == pytest.approx(x, rel=1e-12)
-
-    def test_zero(self):
-        assert SignedLog.of(0.0).value() == 0.0
-        assert SignedLog.of(0.0).sign == 0
-
-    def test_multiply(self):
-        prod = SignedLog.of(-3.0) * SignedLog.of(2.0)
-        assert prod.value() == pytest.approx(-6.0, rel=1e-14)
-        assert (SignedLog.of(5.0) * SignedLog.of(0.0)).value() == 0.0
-
-    def test_overflow_signals(self):
-        with pytest.raises(OverflowError):
-            SignedLog(1, 1e4).value()
+def _pgf_dt(params, tp, s):
+    # exact time derivative of F(t, s): with M' = malthusian_rate * M,
+    # d/dt F = rate (alpha/A) (1 - alpha) M R(s)^M log R(s)
+    a = params.alpha
+    log_r = math.log1p(a * (1.0 - s) / (1.0 - a))
+    power = math.exp(tp.mean * log_r)
+    return (params.rate * a / params.log_norm) * (1.0 - a) * tp.mean * power * log_r
 
 
-class TestFallingFactorial:
-    def test_integer_product(self):
-        assert falling_factorial(5.0, 3).value() == pytest.approx(60.0, rel=1e-12)
-
-    def test_fractional_product(self):
-        assert falling_factorial(0.5, 3).value() == pytest.approx(0.375, rel=1e-12)
-
-    def test_order_zero(self):
-        assert falling_factorial(0.3, 0).value() == 1.0
-
-    def test_integer_zero(self):
-        assert falling_factorial(2.0, 4).value() == 0.0
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(DomainError):
-            falling_factorial(0.5, -1)
-
-    @given(x=st.floats(min_value=0.001, max_value=0.999),
-           n=st.integers(min_value=2, max_value=40))
-    @settings(max_examples=80, deadline=None)
-    def test_sign_alternates_inside_unit_interval(self, x, n):
-        # [x]_n = x (x-1) ... has n-1 negative factors for 0 < x < 1
-        assert falling_factorial(x, n).sign == (-1) ** (n - 1)
-
-    @given(x=st.floats(min_value=-4.0, max_value=4.0),
-           n=st.integers(min_value=0, max_value=8))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_direct_product(self, x, n):
-        direct = 1.0
-        for k in range(n):
-            direct *= x - k
-        assert falling_factorial(x, n).value() == pytest.approx(direct, rel=1e-11, abs=1e-300)
+def _pgf_ds(params, tp, s):
+    # exact s-derivative of F(t, s): M R(s)^(M - 1)
+    a = params.alpha
+    return tp.mean * math.exp((tp.mean - 1.0) * math.log1p(a * (1.0 - s) / (1.0 - a)))
 
 
 class TestGeneratingFunction:
@@ -159,7 +115,7 @@ class TestGeneratingFunction:
         for t in (0.2, 1.0, 3.0):
             tp = params_half.at(t)
             for s in (0.0, 0.4, 0.8, 1.0):
-                lhs = pgf_dt(params_half, tp, s)
+                lhs = _pgf_dt(params_half, tp, s)
                 rhs = infinitesimal_gen(params_half, pgf_at(params_half, tp, s))
                 assert lhs == pytest.approx(rhs, abs=1e-14)
 
@@ -168,8 +124,8 @@ class TestGeneratingFunction:
         for t in (0.2, 1.0, 3.0):
             tp = params_half.at(t)
             for s in (0.0, 0.4, 0.8):
-                lhs = pgf_dt(params_half, tp, s)
-                rhs = infinitesimal_gen(params_half, s) * pgf_ds(params_half, tp, s)
+                lhs = _pgf_dt(params_half, tp, s)
+                rhs = infinitesimal_gen(params_half, s) * _pgf_ds(params_half, tp, s)
                 assert lhs == pytest.approx(rhs, abs=1e-14)
 
     def test_s_derivative_matches_difference(self, params_half):
@@ -177,7 +133,7 @@ class TestGeneratingFunction:
         h = 1e-6
         for s in (0.1, 0.5, 0.9):
             fd = (pgf_at(params_half, tp, s + h) - pgf_at(params_half, tp, s - h)) / (2 * h)
-            assert pgf_ds(params_half, tp, s) == pytest.approx(fd, rel=1e-8)
+            assert _pgf_ds(params_half, tp, s) == pytest.approx(fd, rel=1e-8)
 
 
 class TestExtinctionSurvival:
@@ -321,7 +277,8 @@ def _check_term(term, ref, n):
         assert abs(value - ref) <= MIN_NORMAL, (n, value, ref)
 
 
-TERMS = (pmf, conditional_pmf, factorial_moment, conditional_factorial_moment)
+TERMS = (pmf, conditional_pmf, factorial_moment,
+         lambda p, tp, n: conditional_family(p, tp).factorial_moment(n))
 
 
 def _check_terms(params, tp, n, refs):
@@ -379,17 +336,16 @@ class TestTermPrecision:
         for n in (2, 3, 1000):
             assert conditional_pmf(params, tp, n) == 0.0
             assert factorial_moment(params, tp, n) == 0.0
-            assert conditional_factorial_moment(params, tp, n) == 0.0
+            assert conditional_family(params, tp).factorial_moment(n) == 0.0
         assert factorial_moment(params, tp, 1) == pytest.approx(1.0, rel=1e-15)
         assert law_at(params, tp) == law_at(params, params.at(0.0))
 
 
 def _reference_family_terms(gamma, b, nmax):
-    """50-digit Sibuya(gamma) pmf, ExtendedSibuya(gamma, b) pmf and
-    ExtendedSibuya(gamma, b) factorial moment for n = 1..nmax, from
+    """50-digit ExtendedSibuya(gamma, b) pmf and factorial moment for
+    n = 1..nmax, from
 
-        term(n + 1) = term(n) * (n - gamma) / (n + 1)        (Sibuya pmf)
-        term(n + 1) = term(n) * b (n - gamma) / (n + 1)      (extended pmf)
+        term(n + 1) = term(n) * b (n - gamma) / (n + 1)      (pmf)
         term(n + 1) = term(n) * (b/(1-b)) (n - gamma)        (factorial moment)
 
     at the float gamma and b, so only the term evaluation is under test.
@@ -398,23 +354,22 @@ def _reference_family_terms(gamma, b, nmax):
         g, b = mp.mpf(gamma), mp.mpf(b)
         odds = b / (1 - b)
         keep = (1 - b) ** g
-        terms = [(g, g * b / (1 - keep), odds * keep * g / (1 - keep))]
+        terms = [(g * b / (1 - keep), odds * keep * g / (1 - keep))]
         for n in range(1, nmax):
-            p, c, f = terms[-1]
-            q = (n - g) / (n + 1)
-            terms.append((p * q, c * b * q, f * odds * (n - g)))
+            c, f = terms[-1]
+            terms.append((c * b * (n - g) / (n + 1), f * odds * (n - g)))
         return terms
 
 
 def _check_family_terms(gamma, b, n, refs):
-    plain, extended = Sibuya(gamma), ExtendedSibuya(gamma, b)
-    for term, ref in zip((plain.pmf, extended.pmf, extended.factorial_moment), refs):
+    law = ExtendedSibuya(gamma, b)
+    for term, ref in zip((law.pmf, law.factorial_moment), refs):
         _check_term(lambda: term(n), ref, n)
 
 
 class TestFamilyTermPrecision:
-    """The Sibuya-family terms that the conditional law is evaluated through,
-    against a 50-digit oracle at the bound of TestTermPrecision."""
+    """The ExtendedSibuya terms that the conditional law is evaluated
+    through, against a 50-digit oracle at the bound of TestTermPrecision."""
 
     @pytest.mark.parametrize("gamma", [1e-8, 0.05, 0.3, 0.5, 0.77, 1.0 - 1e-12])
     @pytest.mark.parametrize("b", [0.06, 0.5, 0.9, 0.99])
@@ -431,10 +386,9 @@ class TestFamilyTermPrecision:
             # |[gamma]_n| = gamma (1 - gamma) ... (n - 1 - gamma)
             falling = g * mp.rf(1 - g, n - 1)
             norm = 1 - (1 - bm) ** g
-            plain = falling / mp.factorial(n)
-            extended = bm**n * plain / norm
+            extended = bm**n * falling / (mp.factorial(n) * norm)
             moment = (bm / (1 - bm)) ** n * (1 - bm) ** g * falling / norm
-        _check_family_terms(gamma, b, n, (plain, extended, moment))
+        _check_family_terms(gamma, b, n, (extended, moment))
 
 
 class TestFactorialMoments:
@@ -499,32 +453,34 @@ class TestConditionalLaw:
     def test_moment_conditioning_identity(self, alpha, t, n):
         params = ModelParams(alpha, 1.0)
         tp = params.at(t)
-        lhs = conditional_factorial_moment(params, tp, n) * survival_prob(params, tp)
+        lhs = conditional_family(params, tp).factorial_moment(n) * survival_prob(params, tp)
         assert lhs == pytest.approx(factorial_moment(params, tp, n), rel=1e-12)
 
     def test_first_conditional_moment(self, params_half):
         tp = params_half.at(1.0)
         expected = tp.mean / survival_prob(params_half, tp)
-        assert conditional_factorial_moment(params_half, tp, 1) == pytest.approx(expected, rel=1e-12)
+        moment = conditional_family(params_half, tp).factorial_moment(1)
+        assert moment == pytest.approx(expected, rel=1e-12)
 
     def test_requires_positive_time(self, params_half):
         tp = params_half.at(0.0)
         with pytest.raises(DomainError):
             conditional_pmf(params_half, tp, 1)
         with pytest.raises(DomainError):
-            conditional_pgf(params_half, tp, 0.5)
+            conditional_family(params_half, tp)
 
     def test_pgf_endpoints(self, params_half):
-        tp = params_half.at(1.3)
-        assert conditional_pgf(params_half, tp, 0.0) == 0.0
-        assert conditional_pgf(params_half, tp, 1.0) == 1.0
+        law = conditional_family(params_half, params_half.at(1.3))
+        assert law.pgf(0.0) == 0.0
+        assert law.pgf(1.0) == 1.0
 
     def test_pgf_matches_series(self, params_half):
         tp = params_half.at(1.0)
         law = conditional_law_at(params_half, tp)
+        family = conditional_family(params_half, tp)
         for s in (0.3, 0.7, 0.95):
             series = math.fsum(p * s ** (n + 1) for n, p in enumerate(law.probs))
-            assert conditional_pgf(params_half, tp, s) == pytest.approx(series, abs=1e-10)
+            assert family.pgf(s) == pytest.approx(series, abs=1e-10)
 
 
 class TestLimitLaw:
@@ -542,15 +498,15 @@ class TestLimitLaw:
         law = limit_law(params_half)
         for s in (0.2, 0.7, 1.0):
             series = math.fsum(p * s ** (n + 1) for n, p in enumerate(law.probs))
-            assert limit_law_pgf(params_half, s) == pytest.approx(series, abs=1e-10)
+            assert LogSeries(params_half.alpha).pgf(s) == pytest.approx(series, abs=1e-10)
 
     def test_moments_match_series(self):
         # brute-force E[[xi]_n] against the closed form at a light tail
         params = ModelParams(0.3, 1.0)
         for n in range(1, 5):
+            # math.perm(k, n) is exactly the falling factorial [k]_n
             series = math.fsum(
-                falling_factorial(float(k), n).value() * limit_law_pmf(params, k)
-                for k in range(n, 300)
+                math.perm(k, n) * limit_law_pmf(params, k) for k in range(n, 300)
             )
             assert limit_law_factorial_moment(params, n) == pytest.approx(series, rel=1e-8)
 
@@ -577,5 +533,5 @@ class TestLimitLaw:
         tp = params_half.at(t)
         for n in range(1, 6):
             lim = limit_law_factorial_moment(params_half, n)
-            cond = conditional_factorial_moment(params_half, tp, n)
+            cond = conditional_family(params_half, tp).factorial_moment(n)
             assert cond == pytest.approx(lim, rel=1e-2)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from logbranch import (
     DomainError,
     ExtendedSibuya,
+    InverseCdfSampler,
     LogSeries,
     ModelParams,
-    Sibuya,
     limit_law_pmf,
     offspring_pmf,
     offspring_sampler,
@@ -45,49 +45,6 @@ class TestStream:
             stream(seed, index)
 
 
-class TestSibuya:
-    def test_reference_values(self):
-        law = Sibuya(0.5)
-        assert law.pmf(1) == 0.5
-        assert law.pmf(2) == pytest.approx(0.125, rel=1e-15)
-
-    @given(gamma=gammas, n=st.integers(min_value=1, max_value=60))
-    @settings(max_examples=100, deadline=None)
-    def test_recurrence_matches_gamma_ratio(self, gamma, n):
-        assert Sibuya(gamma).pmf(n) == pytest.approx(_sibuya_pmf_direct(gamma, n), rel=1e-12)
-
-    @given(gamma=gammas, n=st.integers(min_value=1, max_value=60))
-    @settings(max_examples=100, deadline=None)
-    def test_survival_consistent_with_pmf(self, gamma, n):
-        law = Sibuya(gamma)
-        assert law.survival(n - 1) - law.survival(n) == pytest.approx(law.pmf(n), rel=1e-12)
-
-    def test_survival_at_zero(self):
-        assert Sibuya(0.3).survival(0) == 1.0
-
-    @given(gamma=gammas, s=st.floats(min_value=0.0, max_value=0.99))
-    @settings(max_examples=60, deadline=None)
-    def test_pgf_matches_series(self, gamma, s):
-        law = Sibuya(gamma)
-        # tail of the series bounded by the survival function times s^N
-        series = math.fsum(law.pmf(n) * s**n for n in range(1, 400))
-        assert law.pgf(s) == pytest.approx(series, abs=law.survival(400) + 1e-10)
-
-    def test_pgf_endpoints(self):
-        assert Sibuya(0.4).pgf(1.0) == 1.0
-        assert Sibuya(0.4).pgf(0.0) == 0.0
-
-    def test_polynomial_tail(self):
-        # survival ~ n^-gamma / Gamma(1 - gamma): halving n scales by 2^gamma
-        law = Sibuya(0.5)
-        assert law.survival(10_000) / law.survival(20_000) == pytest.approx(2**0.5, rel=1e-3)
-
-    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.2, 1.4])
-    def test_rejects_bad_gamma(self, gamma):
-        with pytest.raises(DomainError):
-            Sibuya(gamma)
-
-
 class TestExtendedSibuya:
     def test_head_mass(self):
         gamma, b = 0.7, 0.5
@@ -105,10 +62,9 @@ class TestExtendedSibuya:
         assert law.pmf(n) == pytest.approx(expected, rel=1e-11)
 
     def test_approaches_plain_sibuya(self):
-        plain = Sibuya(0.6)
         nearly = ExtendedSibuya(0.6, 1.0 - 1e-10)
         for n in range(1, 21):
-            assert nearly.pmf(n) == pytest.approx(plain.pmf(n), rel=1e-6)
+            assert nearly.pmf(n) == pytest.approx(_sibuya_pmf_direct(0.6, n), rel=1e-6)
 
     @given(gamma=gammas, b=bs)
     @settings(max_examples=60, deadline=None)
@@ -183,7 +139,7 @@ class TestLogSeries:
 
 class TestSamplers:
     def test_deterministic(self):
-        sampler = Sibuya(0.5).sampler()
+        sampler = ExtendedSibuya(0.5, 0.9).sampler()
         rng_a, rng_b = stream(5, 1), stream(5, 1)
         assert [sampler.draw(rng_a) for _ in range(60)] == \
                [sampler.draw(rng_b) for _ in range(60)]
@@ -193,11 +149,6 @@ class TestSamplers:
         a = sampler.draw_many(stream(9, 2), 400)
         b = sampler.draw_many(stream(9, 2), 400)
         assert np.array_equal(a, b)
-
-    def test_sibuya_gof(self, gof_pvalue):
-        law = Sibuya(0.5)
-        draws = law.sampler().draw_many(stream(424242, 0), 1_000_000)
-        assert gof_pvalue(draws, law.pmf, 1, 30) > 1e-3
 
     def test_extended_sibuya_gof(self, gof_pvalue):
         law = ExtendedSibuya(0.7, 0.5)
@@ -212,13 +163,6 @@ class TestSamplers:
     def test_offspring_gof(self, gof_pvalue, params_half):
         draws = offspring_sampler(params_half).draw_many(stream(424242, 3), 1_000_000)
         assert gof_pvalue(draws, lambda n: offspring_pmf(params_half, n), 0, 30) > 1e-3
-
-    def test_survival_tail_path(self, gof_pvalue):
-        # a 4-entry table forces half the draws through survival inversion
-        law = Sibuya(0.5)
-        sampler = law.sampler(warm_mass=0.5, max_table=4)
-        draws = sampler.draw_many(stream(11, 5), 200_000)
-        assert gof_pvalue(draws, law.pmf, 1, 30) > 1e-3
 
     def test_rejection_tail_path(self, gof_pvalue):
         law = LogSeries(0.5)
@@ -240,7 +184,10 @@ class TestSamplers:
         assert any(d >= 2 for d in draws)
 
     def test_requires_tail_strategy(self):
-        from logbranch import InverseCdfSampler
-
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             InverseCdfSampler(lambda n: 0.5**n, 1)
+        # below 3 entries the geometric certificate would start too early
+        for max_table in (0, 1, 2):
+            with pytest.raises(DomainError):
+                InverseCdfSampler(lambda n: 0.5**n, 1, ratio_bound=0.5,
+                                  max_table=max_table)

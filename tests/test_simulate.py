@@ -226,10 +226,3 @@ class TestEmpiricalLaw:
         assert law.prob(99) == 0.0
         assert law.extinction_freq() == 0.2
         assert law.mean() == pytest.approx(1.4)
-        assert law.conditional_prob(3) == pytest.approx(3 / 8)
-        assert law.pgf_estimate(1.0) == pytest.approx(1.0)
-
-    def test_conditional_needs_survivors(self):
-        law = EmpiricalLaw(1.0, {0: 5}, 5)
-        with pytest.raises(DomainError):
-            law.conditional_prob(1)

@@ -141,6 +141,21 @@ class TestIntegration:
         with pytest.raises(DomainError):
             integrate_backward(mech, 0.5, 1.0, 0.0)
 
+    @pytest.mark.parametrize("t_end,step", [(math.inf, 0.01), (1.0, math.inf)])
+    def test_rejects_non_finite_horizon_or_step(self, params_half, t_end, step):
+        # an infinite step once made 0*inf a NaN remainder, so no step ran and
+        # the initial value came back as the result
+        mech = log_mixture_mechanism(params_half)
+        with pytest.raises(DomainError):
+            integrate_backward(mech, 0.5, t_end, step)
+        with pytest.raises(DomainError):
+            integrate_complement(mech, 0.5, t_end, step)
+
+    def test_conditional_limit_rejects_infinite_step(self, params_half):
+        mech = log_mixture_mechanism(params_half)
+        with pytest.raises(DomainError):
+            numeric_conditional_limit(mech, [0.5], step=math.inf)
+
     def test_complement_agrees_with_direct(self, params_half):
         mech = log_mixture_mechanism(params_half)
         direct = integrate_backward(mech, 0.3, 2.0, 1e-3).final
@@ -242,7 +257,7 @@ class TestThreeWayAgreement:
                 exact = pgf_at(params_half, tp, s)
                 ode = integrate_backward(mech, s, law.time, 1e-3).final
                 assert abs(ode - exact) < 1e-8
-                estimate = law.pgf_estimate(s)
+                estimate = math.fsum(c * s**n for n, c in law.counts.items()) / cfg.replicates
                 second_moment = pgf_at(params_half, tp, s * s)
                 se = math.sqrt(max(second_moment - exact**2, 1e-20) / cfg.replicates)
                 assert abs(estimate - exact) < 4 * se
