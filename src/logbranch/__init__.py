@@ -45,7 +45,6 @@ from .model import (
     critical_alpha,
     infinitesimal_gen,
     offspring_pmf,
-    reproduction_pgf,
 )
 from .simulate import (
     EmpiricalLaw,

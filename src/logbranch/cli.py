@@ -246,3 +246,7 @@ def verify(suite, fmt):
 
 def main():
     cli(prog_name="logbranch")
+
+
+if __name__ == "__main__":
+    main()

@@ -86,7 +86,10 @@ def pgf_at(params: ModelParams, tp: TimePoint, s: float) -> float:
 
 
 def survival_prob(params: ModelParams, tp: TimePoint) -> float:
-    """P(X(t) > 0) = ((1 - alpha)/alpha) * (exp(M A) - 1), via expm1."""
+    """P(X(t) > 0) = ((1 - alpha)/alpha) * (exp(M A) - 1), via expm1; exactly
+    1 where M rounds to 1, like ``pmf``, so it never exceeds 1."""
+    if tp.mean == 1.0:
+        return 1.0
     return pgf_complement(params, tp, 0.0)
 
 

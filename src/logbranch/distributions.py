@@ -107,14 +107,6 @@ class ExtendedSibuya:
         num = math.expm1(self.gamma * math.log1p(-self.b * s))
         return num / math.expm1(self.gamma * math.log1p(-self.b))
 
-    def mean(self) -> float:
-        """gamma b (1-b)^(gamma-1) / (1 - (1-b)^gamma)."""
-        log_scale = (self.gamma - 1.0) * math.log1p(-self.b) - self.log_norm
-        return self.gamma * self.b * math.exp(log_scale)
-
-    def sampler(self, **kwargs) -> "InverseCdfSampler":
-        return InverseCdfSampler(self.pmf, 1, ratio_bound=self.b, **kwargs)
-
 
 @dataclass(frozen=True)
 class LogSeries:
@@ -147,12 +139,6 @@ class LogSeries:
         if not abs(s) <= 1.0:
             raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
         return math.log1p(-self.alpha * s) / math.log1p(-self.alpha)
-
-    def mean(self) -> float:
-        return self.alpha / (self.log_norm * (1.0 - self.alpha))
-
-    def sampler(self, **kwargs) -> "InverseCdfSampler":
-        return InverseCdfSampler(self.pmf, 1, ratio_bound=self.alpha, **kwargs)
 
 
 def offspring_sampler(params: ModelParams, **kwargs) -> "InverseCdfSampler":

@@ -1,4 +1,4 @@
-"""Branching mechanism: offspring law, reproduction p.g.f., and jump-rate function.
+"""Branching mechanism: offspring law and jump-rate function.
 
 The offspring count of a dying particle mixes a unit atom, an atom at zero,
 and a doubly-logarithmic tail::
@@ -13,12 +13,14 @@ the unit atom keeps positive mass, i.e. alpha < ALPHA_CRITICAL, the unique
 root of x^2 (1 + 1/A(x)) = 1 in (0, 1).
 
 Each particle lives an exponential time with parameter ``rate``; on death it
-is replaced by eta particles.  The generator of the induced p.g.f. semigroup
-is f(s) = rate * (h(s) - s), which factors as
+is replaced by eta particles.  With h(s) = E[s^eta] the reproduction
+p.g.f., the generator of the induced p.g.f. semigroup is
+f(s) = rate * (h(s) - s), which factors as
 (rate * alpha / A) (1 - alpha s) (A + log(1 - alpha s)).
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -79,13 +81,21 @@ class ModelParams:
         )
 
     def at(self, t: float) -> "TimePoint":
-        """Time point carrying the decayed mean E[X(t)] = exp(malthusian_rate * t)."""
+        """Time point carrying the decayed mean E[X(t)] = exp(malthusian_rate * t).
+
+        Raises DomainError once M < 1 and M * min(1, A) leaves the normal
+        float range: a subnormal M (or M A) keeps too few significant bits for
+        the laws built from it, which would then be silently wrong.  Where M
+        rounds to 1 the laws are the exact unit atom, which needs no product
+        M A, so a subnormal A (alpha itself subnormal) stays admissible.
+        """
         if not 0.0 <= t < math.inf:
             raise DomainError(f"time must be nonnegative and finite, got {t!r}")
         mean = math.exp(self.malthusian_rate * t)
-        if mean == 0.0:
+        if mean < 1.0 and mean * min(1.0, self.log_norm) < sys.float_info.min:
             raise DomainError(
-                f"mean exp({self.malthusian_rate!r} * t) underflows to 0 at t={t!r}"
+                f"mean exp({self.malthusian_rate!r} * t) = {mean!r} is too small "
+                f"to resolve at t={t!r}: M * min(1, A) is below the normal range"
             )
         return TimePoint(t, mean)
 
@@ -114,19 +124,6 @@ def offspring_pmf(params: ModelParams, n: int) -> float:
     if n == 1:
         return 1.0 - a * a * (1.0 + 1.0 / params.log_norm)
     return (a / params.log_norm) * a**n / (n * (n - 1.0))
-
-
-def reproduction_pgf(params: ModelParams, s: float) -> float:
-    """h(s) = s + alpha (1 - alpha s) (1 + log(1 - alpha s) / A) on |s| <= 1.
-
-    The bracket is evaluated as log1p(alpha (1 - s) / (1 - alpha)) / A, which
-    is exact at s = 1 and loses nothing for small alpha.
-    """
-    if not abs(s) <= 1.0:
-        raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
-    a = params.alpha
-    bracket = math.log1p(a * (1.0 - s) / (1.0 - a)) / params.log_norm
-    return s + a * (1.0 - a * s) * bracket
 
 
 def infinitesimal_gen(params: ModelParams, s: float) -> float:

@@ -3,9 +3,11 @@
 Three kinds of evidence are produced here, none of which reuses the closed
 forms being checked:
 
-* fixed-step RK4 integration of the backward equation dF/dt = f(F), run both
-  on F directly and on the complement G = 1 - F (the complement drift is
-  algebraically simplified so no precision is lost when G is tiny);
+* fixed-step RK4 integration of the backward equation dF/dt = f(F), always
+  stepped on the complement G = 1 - F, whose drift rate (phi(G) - G) is
+  written per mechanism in cancellation-free form so no precision is lost
+  when G is tiny; RK4 is affine-invariant, so reading F back as 1 - G is the
+  same scheme as stepping F;
 * the implicit one-parameter solution identity that the generating function
   must satisfy at every (t, s);
 * long-time conditional limits for four reproduction mechanisms, each with
@@ -30,8 +32,8 @@ from .model import ModelParams
 class Mechanism:
     """A reproduction mechanism packaged for ODE work.
 
-    ``pgf`` is the offspring generating function h, ``complement`` is
-    phi(g) = 1 - h(1 - g) in cancellation-free form, and ``limit_pgf`` is the
+    ``complement`` is phi(g) = 1 - h(1 - g) for the offspring generating
+    function h, in cancellation-free form, and ``limit_pgf`` is the
     closed-form generating function of the conditional limit law the
     mechanism should produce.
     """
@@ -39,16 +41,12 @@ class Mechanism:
     name: str
     rate: float
     mean: float
-    pgf: Callable
     complement: Callable
     limit_pgf: Callable
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rate < math.inf:
             raise DomainError(f"rate must be positive and finite, got {self.rate!r}")
-
-    def drift(self, x: float) -> float:
-        return self.rate * (self.pgf(x) - x)
 
     def complement_drift(self, g: float) -> float:
         return self.rate * (self.complement(g) - g)
@@ -69,9 +67,6 @@ def log_mixture_mechanism(params: ModelParams) -> Mechanism:
     a = params.alpha
     a_const = params.log_norm
 
-    def h(s: float) -> float:
-        return s + a * (1.0 - a * s) * math.log1p(a * (1.0 - s) / (1.0 - a)) / a_const
-
     def phi(g: float) -> float:
         return g - (a / a_const) * (1.0 - a + a * g) * math.log1p(a * g / (1.0 - a))
 
@@ -79,7 +74,6 @@ def log_mixture_mechanism(params: ModelParams) -> Mechanism:
         name="log-mixture",
         rate=params.rate,
         mean=params.offspring_mean,
-        pgf=h,
         complement=phi,
         limit_pgf=LogSeries(params.alpha).pgf,
     )
@@ -91,41 +85,29 @@ def geometric_mechanism(m: float, rate: float = 1.0) -> Mechanism:
     if not 0.0 < m < 1.0:
         raise DomainError(f"mean must lie in (0, 1), got {m!r}")
 
-    def h(s: float) -> float:
-        return 1.0 / (1.0 + m * (1.0 - s))
-
     def phi(g: float) -> float:
         return m * g / (1.0 + m * g)
 
     def limit(s: float) -> float:
         return 1.0 - (1.0 - s) * math.exp(-m * math.log1p(-m * s))
 
-    return Mechanism("geometric", rate, m, h, phi, limit)
+    return Mechanism("geometric", rate, m, phi, limit)
 
 
-def binary_mechanism(m: float = None, rho: float = None, rate: float = 1.0) -> Mechanism:
+def binary_mechanism(m: float, rate: float = 1.0) -> Mechanism:
     """Binary splitting h(s) = 1 + (m/2)(s^2 - 1); limit law is geometric on
     {1, 2, ...} with parameter rho = m / (2 - m), pgf (1-rho) s / (1 - rho s)."""
-    if (m is None) == (rho is None):
-        raise DomainError("give exactly one of m and rho")
-    if rho is not None:
-        if not 0.0 < rho < 1.0:
-            raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
-        m = 2.0 * rho / (1.0 + rho)
     if not 0.0 < m < 1.0:
         raise DomainError(f"mean must lie in (0, 1), got {m!r}")
-    rho_eff = m / (2.0 - m)
-
-    def h(s: float) -> float:
-        return 1.0 + 0.5 * m * (s * s - 1.0)
+    rho = m / (2.0 - m)
 
     def phi(g: float) -> float:
         return m * g - 0.5 * m * g * g
 
     def limit(s: float) -> float:
-        return (1.0 - rho_eff) * s / (1.0 - rho_eff * s)
+        return (1.0 - rho) * s / (1.0 - rho * s)
 
-    return Mechanism("binary", rate, m, h, phi, limit)
+    return Mechanism("binary", rate, m, phi, limit)
 
 
 def linear_mechanism(m: float, rate: float = 1.0) -> Mechanism:
@@ -134,16 +116,13 @@ def linear_mechanism(m: float, rate: float = 1.0) -> Mechanism:
     if not 0.0 < m < 1.0:
         raise DomainError(f"mean must lie in (0, 1), got {m!r}")
 
-    def h(s: float) -> float:
-        return 1.0 - m + m * s
-
     def phi(g: float) -> float:
         return m * g
 
     def limit(s: float) -> float:
         return s
 
-    return Mechanism("linear", rate, m, h, phi, limit)
+    return Mechanism("linear", rate, m, phi, limit)
 
 
 def standard_mechanisms() -> tuple:
@@ -156,7 +135,7 @@ def standard_mechanisms() -> tuple:
     return (
         log_mixture_mechanism(ModelParams(0.5, 1.0)),
         geometric_mechanism(0.5),
-        binary_mechanism(m=0.5),
+        binary_mechanism(0.5),
         linear_mechanism(0.5),
     )
 
@@ -214,10 +193,16 @@ def _rk4(field: Callable, x0: float, t_end: float, step: float) -> OdeSolution:
 
 def integrate_backward(mech: Mechanism, s0: float, t_end: float,
                        step: float) -> OdeSolution:
-    """RK4 solution of dF/dt = rate (h(F) - F), F(0) = s0, on [0, t_end]."""
+    """RK4 solution of dF/dt = rate (h(F) - F), F(0) = s0, on [0, t_end].
+
+    The steps run on G = 1 - F (see ``integrate_complement``) and are read
+    back as F = 1 - G; RK4 is affine-invariant, so this is the RK4 scheme
+    for F itself.
+    """
     if not 0.0 <= s0 <= 1.0:
         raise DomainError(f"initial value must lie in [0, 1], got {s0!r}")
-    return _rk4(mech.drift, s0, t_end, step)
+    path = _rk4(mech.complement_drift, 1.0 - s0, t_end, step)
+    return OdeSolution(step, path.times, 1.0 - path.values)
 
 
 def integrate_complement(mech: Mechanism, g0: float, t_end: float,
@@ -260,17 +245,17 @@ def check_implicit_solution(params: ModelParams, tp, s: float) -> float:
     return lhs - rhs
 
 
-def numeric_conditional_limit(mech: Mechanism, s_grid, mean_target: float = 1e-3,
-                              step: float = None) -> np.ndarray:
+def numeric_conditional_limit(mech: Mechanism, s_grid,
+                              mean_target: float = 1e-3) -> np.ndarray:
     """Conditional generating function 1 - G(t, s)/G(t, 0) at the time where
-    the mean decays to ``mean_target``, by complement integration.
+    the mean decays to ``mean_target``, by complement integration with the
+    largest step of at most 0.01 that divides that time evenly.
 
     Raises PrecisionLoss when survival falls below 1e-12, past which the
     conditional ratio cannot be trusted at the advertised accuracy.
     """
     t_big = mech.time_to_mean(mean_target)
-    if step is None:
-        step = t_big / math.ceil(t_big / 0.01)
+    step = t_big / math.ceil(t_big / 0.01)
     survival = integrate_complement(mech, 1.0, t_big, step).final
     if survival < 1e-12:
         raise PrecisionLoss(
@@ -299,10 +284,9 @@ def _result(name: str, residual: float, tolerance: float) -> CheckResult:
     return CheckResult(name, float(residual), tolerance, residual <= tolerance)
 
 
-def closed_form_suite(params: ModelParams = None) -> list:
+def closed_form_suite() -> list:
     """Identity checks on the closed-form generating function and pmf."""
-    if params is None:
-        params = ModelParams(0.5, 1.0)
+    params = ModelParams(0.5, 1.0)
     results = []
 
     rng = np.random.default_rng(7)
@@ -379,9 +363,10 @@ def closed_form_suite(params: ModelParams = None) -> list:
     return results
 
 
-def ode_suite(step: float = 1e-3) -> list:
+def ode_suite() -> list:
     """Closed form versus RK4 on a parameter grid, plus the observed order."""
     results = []
+    step = 1e-3
     horizon = 5.0
     query_times = (0.5, 1.0, 2.0, 5.0)
     s_values = (0.0, 0.25, 0.5, 0.75, 0.9)
@@ -405,22 +390,22 @@ def ode_suite(step: float = 1e-3) -> list:
     return results
 
 
-def table1_suite(mean_target: float = 1e-3) -> list:
-    """Numeric conditional limits versus each mechanism's closed-form limit law."""
+def table1_suite() -> list:
+    """Numeric conditional limits at mean target 1e-3 versus each mechanism's
+    closed-form limit law."""
     results = []
     s_grid = np.linspace(0.0, 1.0, 6)
     for mech in standard_mechanisms():
-        ratios = numeric_conditional_limit(mech, s_grid, mean_target)
+        ratios = numeric_conditional_limit(mech, s_grid)
         exact = np.array([mech.limit_pgf(float(s)) for s in s_grid])
         worst = float(np.max(np.abs(ratios - exact)))
         results.append(_result(f"limit_law_{mech.name}", worst, 1e-4))
     return results
 
 
-def limit_suite(params: ModelParams = None) -> list:
+def limit_suite() -> list:
     """Convergence of the conditional law to its limit, and the exact bridges."""
-    if params is None:
-        params = ModelParams(0.5, 1.0)
+    params = ModelParams(0.5, 1.0)
     results = []
 
     limit = closed_form.limit_law(params)

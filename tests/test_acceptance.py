@@ -71,7 +71,7 @@ def test_criterion_1_critical_threshold(capsys):
 
 def test_criterion_2_ode_agreement(capsys):
     tic = time.perf_counter()
-    results = ode_suite(step=1e-3)
+    results = ode_suite()
     elapsed = time.perf_counter() - tic
     worst = max(r.residual / r.tolerance for r in results)
     ok = all(r.passed for r in results) and elapsed < 5.0

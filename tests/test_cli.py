@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -204,3 +208,19 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self, runner):
         result = runner.invoke(cli, ["verify", "--suite", "nope"])
         assert result.exit_code == 2
+
+
+def test_runs_as_module():
+    # without a __main__ guard, ``-m`` only imports the module: no output,
+    # exit 0, which looks like success
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "logbranch.cli", "pmf", "--alpha", "0.5",
+         "--k", "1", "--t", "1", "--nmax", "3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    header, rows = _rows(proc.stdout)
+    assert header == ["n", "probability"]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "tail"]

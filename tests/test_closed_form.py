@@ -323,12 +323,16 @@ class TestTermPrecision:
             assert abs(_log_falling_mean(tp.mean, n) - log_ff) <= _term_rel_bound(n)
         _check_terms(params, tp, n, (p, c, mp.inf, mp.inf))
 
-    # at 0.06 and 0.25 the general log-space assembly misses 1.0 by an ulp
-    @pytest.mark.parametrize("alpha", [0.06, 0.25, 0.5])
+    # at 0.06 and 0.25 the general log-space assembly misses 1.0 by an ulp;
+    # at 0.24 and 0.3 the expm1 survival form overshoots 1 by one; at a
+    # subnormal alpha, A is subnormal too, and M stays 1 at every t
+    @pytest.mark.parametrize("alpha", [1e-310, 0.06, 0.24, 0.25, 0.3, 0.5])
     def test_unit_atom_where_mean_rounds_to_one(self, alpha):
         params = ModelParams(alpha, 1.0)
         tp = params.at(1e-18)
         assert tp.t > 0.0 and tp.mean == 1.0
+        assert survival_prob(params, tp) == 1.0
+        assert extinction_prob(params, tp) == 0.0 == pmf(params, tp, 0)
         assert pmf(params, tp, 1) == 1.0
         assert conditional_pmf(params, tp, 1) == 1.0
         for n in (0, 2, 3, 1000):

@@ -82,12 +82,6 @@ class TestExtendedSibuya:
         series = math.fsum(law.pmf(n) * s**n for n in range(1, 200))
         assert law.pgf(s) == pytest.approx(series, rel=1e-12)
 
-    def test_mean_matches_series(self):
-        law = ExtendedSibuya(0.7, 0.5)
-        # n pmf(n) decays geometrically: remainder under b (1 + 1/N) per step
-        series = math.fsum(n * law.pmf(n) for n in range(1, 300))
-        assert law.mean() == pytest.approx(series, rel=1e-10)
-
     def test_matches_conditional_law(self, params_half):
         # the process at time t conditioned on survival is exactly this family;
         # the other side is P(X(t) = n) / P(X(t) > 0) from the unconditional law
@@ -120,11 +114,6 @@ class TestLogSeries:
         tail_bound = law.pmf(400) * a / (1.0 - a)
         assert abs(1.0 - head) <= tail_bound + 1e-10
 
-    def test_mean(self):
-        law = LogSeries(0.5)
-        series = math.fsum(n * law.pmf(n) for n in range(1, 300))
-        assert law.mean() == pytest.approx(series, rel=1e-12)
-
     def test_pgf_series(self):
         law = LogSeries(0.5)
         s = 0.7
@@ -139,25 +128,27 @@ class TestLogSeries:
 
 class TestSamplers:
     def test_deterministic(self):
-        sampler = ExtendedSibuya(0.5, 0.9).sampler()
+        sampler = InverseCdfSampler(ExtendedSibuya(0.5, 0.9).pmf, 1, ratio_bound=0.9)
         rng_a, rng_b = stream(5, 1), stream(5, 1)
         assert [sampler.draw(rng_a) for _ in range(60)] == \
                [sampler.draw(rng_b) for _ in range(60)]
 
     def test_draw_many_deterministic(self):
-        sampler = LogSeries(0.5).sampler()
+        sampler = InverseCdfSampler(LogSeries(0.5).pmf, 1, ratio_bound=0.5)
         a = sampler.draw_many(stream(9, 2), 400)
         b = sampler.draw_many(stream(9, 2), 400)
         assert np.array_equal(a, b)
 
     def test_extended_sibuya_gof(self, gof_pvalue):
         law = ExtendedSibuya(0.7, 0.5)
-        draws = law.sampler().draw_many(stream(424242, 1), 1_000_000)
+        sampler = InverseCdfSampler(law.pmf, 1, ratio_bound=law.b)
+        draws = sampler.draw_many(stream(424242, 1), 1_000_000)
         assert gof_pvalue(draws, law.pmf, 1, 30) > 1e-3
 
     def test_log_series_gof(self, gof_pvalue):
         law = LogSeries(0.5)
-        draws = law.sampler().draw_many(stream(424242, 2), 1_000_000)
+        sampler = InverseCdfSampler(law.pmf, 1, ratio_bound=law.alpha)
+        draws = sampler.draw_many(stream(424242, 2), 1_000_000)
         assert gof_pvalue(draws, law.pmf, 1, 30) > 1e-3
 
     def test_offspring_gof(self, gof_pvalue, params_half):
@@ -166,13 +157,15 @@ class TestSamplers:
 
     def test_rejection_tail_path(self, gof_pvalue):
         law = LogSeries(0.5)
-        sampler = law.sampler(warm_mass=0.5, max_table=4)
+        sampler = InverseCdfSampler(law.pmf, 1, ratio_bound=law.alpha,
+                                    warm_mass=0.5, max_table=4)
         draws = sampler.draw_many(stream(11, 6), 200_000)
         assert gof_pvalue(draws, law.pmf, 1, 30) > 1e-3
 
     def test_rejection_tail_path_extended(self, gof_pvalue):
         law = ExtendedSibuya(0.7, 0.5)
-        sampler = law.sampler(warm_mass=0.5, max_table=4)
+        sampler = InverseCdfSampler(law.pmf, 1, ratio_bound=law.b,
+                                    warm_mass=0.5, max_table=4)
         draws = sampler.draw_many(stream(11, 7), 200_000)
         assert gof_pvalue(draws, law.pmf, 1, 30) > 1e-3
 

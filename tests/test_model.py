@@ -12,13 +12,24 @@ from logbranch import (
     critical_alpha,
     infinitesimal_gen,
     offspring_pmf,
-    reproduction_pgf,
 )
 
 # mixture weights safely inside the admissible interval
 alphas = st.floats(min_value=0.01, max_value=0.75)
 rates = st.floats(min_value=0.05, max_value=10.0)
 s_unit = st.floats(min_value=-1.0, max_value=1.0)
+
+
+def _pgf_from_generator(params, s):
+    # the reproduction pgf h(s) = s + f(s)/rate, read off the package's generator
+    return s + infinitesimal_gen(params, s) / params.rate
+
+
+def _plain_pgf(params, s):
+    # h(s) = s + alpha (1 - alpha s) (1 + log(1 - alpha s) / A), the plain form
+    # that the factored generator must reproduce
+    a = params.alpha
+    return s + a * (1.0 - a * s) * (1.0 + math.log(1.0 - a * s) / params.log_norm)
 
 
 def _deficit(x):
@@ -97,11 +108,13 @@ class TestModelParams:
             params_half.at(t)
 
     def test_at_rejects_underflowing_mean(self, params_half):
-        # exp(malthusian_rate t) underflows to 0 past t ~ 2065 at alpha 0.5;
-        # the error names t, not a mean outside (0, 1]
-        with pytest.raises(DomainError, match=r"underflows to 0 at t=2100\.0"):
-            params_half.at(2100.0)
-        assert 0.0 < params_half.at(1990.0).mean < sys.float_info.min
+        # at alpha 0.5, M A leaves the normal range past t ~ 1963 and M
+        # underflows to 0 past t ~ 2065; both raise, and the error names t,
+        # not a mean outside (0, 1]
+        for t in (1990.0, 2100.0):
+            with pytest.raises(DomainError, match=rf"too small to resolve at t={t}"):
+                params_half.at(t)
+        assert params_half.at(1960.0).mean * params_half.log_norm >= sys.float_info.min
 
 
 class TestOffspringPmf:
@@ -138,27 +151,27 @@ class TestOffspringPmf:
 
 class TestReproductionPgf:
     def test_at_zero_and_one(self, params_half):
-        assert reproduction_pgf(params_half, 0.0) == pytest.approx(0.5, rel=1e-14)
-        assert reproduction_pgf(params_half, 1.0) == 1.0
+        assert _pgf_from_generator(params_half, 0.0) == pytest.approx(0.5, rel=1e-14)
+        assert _pgf_from_generator(params_half, 1.0) == 1.0
 
     @given(alpha=alphas, s=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=80, deadline=None)
     def test_matches_series(self, alpha, s):
         params = ModelParams(alpha, 1.0)
         series = math.fsum(offspring_pmf(params, n) * s**n for n in range(400))
-        assert reproduction_pgf(params, s) == pytest.approx(series, abs=1e-10)
+        assert _pgf_from_generator(params, s) == pytest.approx(series, abs=1e-10)
 
     def test_derivative_at_one_is_mean(self, params_half):
         # one-sided difference, Richardson-extrapolated to O(h^2)
         h = 1e-7
-        d_h = (reproduction_pgf(params_half, 1.0) - reproduction_pgf(params_half, 1.0 - h)) / h
-        d_half = (reproduction_pgf(params_half, 1.0) - reproduction_pgf(params_half, 1.0 - h / 2)) / (h / 2)
+        d_h = (_pgf_from_generator(params_half, 1.0) - _pgf_from_generator(params_half, 1.0 - h)) / h
+        d_half = (_pgf_from_generator(params_half, 1.0) - _pgf_from_generator(params_half, 1.0 - h / 2)) / (h / 2)
         extrapolated = 2.0 * d_half - d_h
         assert extrapolated == pytest.approx(params_half.offspring_mean, abs=1e-6)
 
     def test_monotone_and_convex(self, params_half):
         grid = [i / 50 for i in range(51)]
-        values = [reproduction_pgf(params_half, s) for s in grid]
+        values = [_pgf_from_generator(params_half, s) for s in grid]
         first = [b - a for a, b in zip(values, values[1:])]
         assert all(d >= -1e-12 for d in first)
         second = [b - a for a, b in zip(first, first[1:])]
@@ -166,7 +179,7 @@ class TestReproductionPgf:
 
     def test_rejects_outside_unit_interval(self, params_half):
         with pytest.raises(DomainError):
-            reproduction_pgf(params_half, 1.5)
+            _pgf_from_generator(params_half, 1.5)
 
 
 class TestInfinitesimalGen:
@@ -181,7 +194,7 @@ class TestInfinitesimalGen:
     @settings(max_examples=200, deadline=None)
     def test_factored_form_matches_definition(self, alpha, rate, s):
         params = ModelParams(alpha, rate)
-        direct = rate * (reproduction_pgf(params, s) - s)
+        direct = rate * (_plain_pgf(params, s) - s)
         assert abs(infinitesimal_gen(params, s) - direct) < 1e-12
 
     def test_slope_at_one(self, params_half):

@@ -12,13 +12,13 @@ from logbranch import (
     check_implicit_solution,
     convergence_order,
     geometric_mechanism,
+    infinitesimal_gen,
     integrate_backward,
     integrate_complement,
     linear_mechanism,
     log_mixture_mechanism,
     numeric_conditional_limit,
     pgf_at,
-    reproduction_pgf,
     run_suite,
     standard_mechanisms,
     survival_prob,
@@ -26,50 +26,47 @@ from logbranch import (
 from logbranch.verify import Mechanism
 
 
+# each mechanism with its offspring pgf h in plain form, kept here only as the
+# reference that the cancellation-free complement phi(g) = 1 - h(1 - g) must match
+_WITH_REFERENCE_H = [
+    lambda: (log_mixture_mechanism(ModelParams(0.5, 1.0)),
+             lambda s: s + 0.5 * (1.0 - 0.5 * s) * (1.0 + math.log(1.0 - 0.5 * s) / math.log(2.0))),
+    lambda: (geometric_mechanism(0.5), lambda s: 1.0 / (1.5 - 0.5 * s)),
+    lambda: (binary_mechanism(0.5), lambda s: 1.0 + 0.25 * (s * s - 1.0)),
+    lambda: (linear_mechanism(0.5), lambda s: 0.5 + 0.5 * s),
+]
+
+
 class TestMechanisms:
     def test_log_mixture_pgf_matches_model(self, params_half):
+        # phi(g) = 1 - h(1 - g) = g - f(1 - g)/rate for the model's generator f
         mech = log_mixture_mechanism(params_half)
-        for s in np.linspace(0.0, 1.0, 41):
-            assert mech.pgf(float(s)) == pytest.approx(
-                reproduction_pgf(params_half, float(s)), abs=1e-15)
-
-    @pytest.mark.parametrize("factory", [
-        lambda: log_mixture_mechanism(ModelParams(0.5, 1.0)),
-        lambda: geometric_mechanism(0.5),
-        lambda: binary_mechanism(m=0.5),
-        lambda: linear_mechanism(0.5),
-    ])
-    def test_complement_is_reflected_pgf(self, factory):
-        mech = factory()
         for g in np.linspace(0.0, 1.0, 41):
-            direct = 1.0 - mech.pgf(1.0 - float(g))
+            g = float(g)
+            expected = g - infinitesimal_gen(params_half, 1.0 - g) / params_half.rate
+            assert mech.complement(g) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("factory", _WITH_REFERENCE_H)
+    def test_complement_is_reflected_pgf(self, factory):
+        mech, h = factory()
+        for g in np.linspace(0.0, 1.0, 41):
+            direct = 1.0 - h(1.0 - float(g))
             assert mech.complement(float(g)) == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("factory", [
         lambda: geometric_mechanism(0.5),
         lambda: binary_mechanism(m=0.5),
         lambda: linear_mechanism(0.5),
+        lambda: log_mixture_mechanism(ModelParams(0.5, 1.0)),
     ])
     def test_pgf_mean_consistent(self, factory):
-        # h'(1) recovered by one-sided Richardson difference
+        # phi'(0) = h'(1) recovered by one-sided Richardson difference
         mech = factory()
+        phi = mech.complement
         h = 1e-7
-        d_h = (mech.pgf(1.0) - mech.pgf(1.0 - h)) / h
-        d_half = (mech.pgf(1.0) - mech.pgf(1.0 - h / 2)) / (h / 2)
+        d_h = (phi(h) - phi(0.0)) / h
+        d_half = (phi(h / 2) - phi(0.0)) / (h / 2)
         assert 2.0 * d_half - d_h == pytest.approx(mech.mean, abs=1e-6)
-
-    def test_binary_parameterizations_agree(self):
-        by_mean = binary_mechanism(m=0.5)
-        by_rho = binary_mechanism(rho=1.0 / 3.0)
-        for s in (0.0, 0.3, 0.9, 1.0):
-            assert by_mean.pgf(s) == pytest.approx(by_rho.pgf(s), rel=1e-12)
-            assert by_mean.limit_pgf(s) == pytest.approx(by_rho.limit_pgf(s), rel=1e-12)
-
-    def test_binary_requires_exactly_one_parameter(self):
-        with pytest.raises(DomainError):
-            binary_mechanism()
-        with pytest.raises(DomainError):
-            binary_mechanism(m=0.5, rho=0.3)
 
     @pytest.mark.parametrize("factory", [
         lambda: geometric_mechanism(0.0),
@@ -126,7 +123,6 @@ class TestIntegration:
 
     def test_divergence_guard(self):
         runaway = Mechanism("runaway", 1.0, 0.5,
-                            pgf=lambda s: 1.5,
                             complement=lambda g: -0.5,
                             limit_pgf=lambda s: s)
         with pytest.raises(NumericalDivergence):
@@ -150,11 +146,6 @@ class TestIntegration:
             integrate_backward(mech, 0.5, t_end, step)
         with pytest.raises(DomainError):
             integrate_complement(mech, 0.5, t_end, step)
-
-    def test_conditional_limit_rejects_infinite_step(self, params_half):
-        mech = log_mixture_mechanism(params_half)
-        with pytest.raises(DomainError):
-            numeric_conditional_limit(mech, [0.5], step=math.inf)
 
     def test_complement_agrees_with_direct(self, params_half):
         mech = log_mixture_mechanism(params_half)
