@@ -31,6 +31,7 @@ from .distributions import (
     LogSeries,
     offspring_sampler,
     stream,
+    streams,
 )
 from .errors import (
     DomainError,

@@ -20,6 +20,7 @@ here (both families and the offspring law) admits.
 
 import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -29,18 +30,41 @@ from .errors import DomainError
 from .model import ModelParams, offspring_pmf
 
 
+def streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """``stream(seed, i)`` for each i in ``range(start, stop)``, as one Generator.
+
+    A Philox stream is fully determined by its key and counter, so one Philox
+    is re-keyed in place to (seed, i) with a fresh counter and an empty
+    buffer: each yielded Generator draws exactly what ``stream(seed, i)``
+    would, without building a new one.  Each is valid only until the next
+    one is yielded.
+    """
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must fit in 64 bits, got {seed!r}")
+    if not 0 <= start <= stop <= 2**64:
+        raise DomainError(
+            f"stream indices must satisfy 0 <= start <= stop <= 2**64, got {start!r}, {stop!r}"
+        )
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    rng = np.random.Generator(bitgen)
+
+    def rekeyed(index: int) -> np.random.Generator:
+        key[1] = index
+        bitgen.state = fresh
+        return rng
+
+    return map(rekeyed, range(start, stop))
+
+
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Independent counter-based RNG stream keyed by (seed, replicate index).
 
     Philox streams with distinct keys never overlap, so replicate i of run
     ``seed`` is reproducible in isolation regardless of scheduling.
     """
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must fit in 64 bits, got {seed!r}")
-    if not 0 <= index < 2**64:
-        raise DomainError(f"stream index must fit in 64 bits, got {index!r}")
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return next(streams(seed, index, index + 1))
 
 
 def _log_falling_mean(m: float, n: int) -> float:

@@ -6,6 +6,8 @@ the count moves by (offspring - 1).  No discretization is involved: replicate
 trajectories follow the continuous-time law exactly, and every replicate owns
 a dedicated counter-based RNG stream keyed by (seed, replicate index), which
 makes runs reproducible replicate by replicate and independent of scheduling.
+A range of replicates runs on one Generator re-keyed in place by ``streams``,
+so replicate i still draws exactly what ``stream(seed, i)`` draws.
 """
 
 import math
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import InverseCdfSampler, offspring_sampler, stream
+from .distributions import InverseCdfSampler, offspring_sampler, streams
 from .errors import DomainError, PopulationCapExceeded
 from .model import ModelParams
 
@@ -111,8 +113,7 @@ def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
     horizons = cfg.horizons
     cap = cfg.max_population
     sampler = offspring_sampler(params)
-    for index in range(start, stop):
-        rng = stream(cfg.seed, index)
+    for rng in streams(cfg.seed, start, stop):
         counts = simulate_counts(params, horizons, rng, sampler, cap)
         for tally, c in zip(tallies, counts):
             tally[int(c)] += 1
@@ -122,8 +123,10 @@ def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
 def estimate_law(cfg: SimConfig, workers: int = 1) -> list:
     """One EmpiricalLaw per horizon, from ``cfg.replicates`` trajectories.
 
+    Each range of replicates runs on one Generator re-keyed by ``streams``.
     The result is identical for any worker count: replicate index i always
-    draws from stream (seed, i) and histogram merging is commutative.
+    draws exactly what ``stream(seed, i)`` draws, and histogram merging is
+    commutative.
     """
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers!r}")

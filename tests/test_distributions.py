@@ -15,6 +15,7 @@ from logbranch import (
     offspring_pmf,
     offspring_sampler,
     stream,
+    streams,
 )
 
 gammas = st.floats(min_value=0.05, max_value=0.95)
@@ -43,6 +44,45 @@ class TestStream:
     def test_rejects_out_of_range(self, seed, index):
         with pytest.raises(DomainError):
             stream(seed, index)
+
+
+def _mixed_draws(rng):
+    # geometric is the sampler's tail draw: numpy searches for p >= 1/3 (a
+    # variable number of doubles) and inverts below; random(5) leaves part of
+    # the Philox buffer unread before the next re-key
+    return (rng.standard_exponential(), rng.random(), rng.geometric(0.5),
+            rng.geometric(1e-3), rng.random(5).tolist(), rng.integers(0, 2**32))
+
+
+class TestStreams:
+    @pytest.mark.parametrize("start,stop", [(0, 40), (2**64 - 5, 2**64)],
+                             ids=["from-zero", "to-2**64"])
+    def test_matches_stream(self, start, stop):
+        rekeyed = [_mixed_draws(rng) for rng in streams(77, start, stop)]
+        fresh = [_mixed_draws(stream(77, i)) for i in range(start, stop)]
+        assert rekeyed == fresh
+
+    def test_partly_consumed_buffer_is_reset(self):
+        # one 32-bit draw leaves three words buffered and a cached half word
+        def draws(rng):
+            return (rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
+                    rng.random(3).tolist())
+
+        it = streams(5, 3, 5)
+        next(it).integers(0, 2**32, dtype=np.uint32)
+        assert draws(next(it)) == draws(stream(5, 4))
+
+    def test_empty_range(self):
+        assert list(streams(1, 7, 7)) == []
+        assert list(streams(1, 2**64, 2**64)) == []
+
+    @pytest.mark.parametrize("seed,start,stop", [
+        (-1, 0, 1), (2**64, 0, 1), (0, -1, 1), (0, 0, 2**64 + 1), (0, 5, 4),
+    ], ids=["seed-negative", "seed-too-big", "start-negative", "stop-too-big",
+            "start-after-stop"])
+    def test_rejects_out_of_range(self, seed, start, stop):
+        with pytest.raises(DomainError):
+            streams(seed, start, stop)
 
 
 class TestExtendedSibuya:

@@ -19,6 +19,7 @@ from logbranch import (
     pmf,
     simulate_counts,
     stream,
+    streams,
 )
 
 
@@ -113,8 +114,8 @@ class TestSimulateCounts:
 
     def test_zero_stays_absorbed(self, params_half):
         horizons = (0.5, 1.0, 2.0, 4.0)
-        for index in range(400):
-            counts = simulate_counts(params_half, horizons, stream(17, index))
+        for rng in streams(17, 0, 400):
+            counts = simulate_counts(params_half, horizons, rng)
             seen_zero = False
             for c in counts:
                 if seen_zero:
@@ -123,9 +124,9 @@ class TestSimulateCounts:
 
     def test_cap_triggers(self, params_half):
         raised = False
-        for index in range(200):
+        for rng in streams(23, 0, 200):
             try:
-                simulate_counts(params_half, (10.0,), stream(23, index), max_population=3)
+                simulate_counts(params_half, (10.0,), rng, max_population=3)
             except PopulationCapExceeded:
                 raised = True
                 break
@@ -143,8 +144,8 @@ class TestRunReplicate:
         assert np.array_equal(first, second)
 
     def test_replicates_differ(self, params_half):
-        rows = [tuple(simulate_counts(params_half, self.HORIZONS, stream(42, i)))
-                for i in range(25)]
+        rows = [tuple(simulate_counts(params_half, self.HORIZONS, rng))
+                for rng in streams(42, 0, 25)]
         assert len(set(rows)) > 1
 
 
@@ -159,6 +160,22 @@ class TestEstimateLaw:
         serial = estimate_law(cfg, workers=1)
         parallel = estimate_law(cfg, workers=2)
         assert serial[0].counts == parallel[0].counts
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_per_replicate_streams(self, workers):
+        # the contract perfbench's replay_simulate checks: replicate i of the
+        # run is simulate_counts on its own stream(seed, i)
+        params = ModelParams(0.75, 1.0)
+        horizons = (1.0, 4.0, 16.0)
+        cfg = SimConfig(params, horizons, 2_000, 31)
+        sampler = offspring_sampler(params)
+        tallies = [Counter() for _ in horizons]
+        for index in range(cfg.replicates):
+            counts = simulate_counts(params, horizons, stream(cfg.seed, index), sampler)
+            for tally, c in zip(tallies, counts):
+                tally[int(c)] += 1
+        laws = estimate_law(cfg, workers=workers)
+        assert [law.counts for law in laws] == [dict(tally) for tally in tallies]
 
     def test_rejects_bad_workers(self, params_half):
         cfg = SimConfig(params_half, (1.0,), 100, 7)
@@ -201,9 +218,8 @@ class TestEstimateLaw:
         direct = estimate_law(SimConfig(params_half, (0.8,), n_rep, 777))[0]
         sampler = offspring_sampler(params_half)
         composed = Counter()
-        for i in range(n_rep):
-            mid = simulate_counts(params_half, (0.4,), stream(778, i), sampler)[0]
-            rng = stream(779, i)
+        for rng_mid, rng in zip(streams(778, 0, n_rep), streams(779, 0, n_rep)):
+            mid = simulate_counts(params_half, (0.4,), rng_mid, sampler)[0]
             total = 0
             for _ in range(int(mid)):
                 total += simulate_counts(params_half, (0.4,), rng, sampler)[0]

@@ -19,6 +19,7 @@ from logbranch import (
     log_mixture_mechanism,
     numeric_conditional_limit,
     pgf_at,
+    pgf_complement,
     run_suite,
     standard_mechanisms,
     survival_prob,
@@ -147,11 +148,12 @@ class TestIntegration:
         with pytest.raises(DomainError):
             integrate_complement(mech, 0.5, t_end, step)
 
-    def test_complement_agrees_with_direct(self, params_half):
+    def test_complement_matches_closed_form(self, params_half):
+        # G(0) = 1 - s with s = 0.3, so G(2) is the closed form's 1 - F(2, 0.3)
         mech = log_mixture_mechanism(params_half)
-        direct = integrate_backward(mech, 0.3, 2.0, 1e-3).final
         complement = integrate_complement(mech, 0.7, 2.0, 1e-3).final
-        assert direct + complement == pytest.approx(1.0, abs=1e-10)
+        expected = pgf_complement(params_half, params_half.at(2.0), 0.3)
+        assert complement == pytest.approx(expected, rel=1e-10)
 
     def test_complement_keeps_relative_precision(self, params_half):
         # survival ~ 5e-7 here; the complement path must track it to 1e-8
