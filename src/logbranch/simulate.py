@@ -6,12 +6,15 @@ the count moves by (offspring - 1).  No discretization is involved: replicate
 trajectories follow the continuous-time law exactly, and every replicate owns
 a dedicated counter-based RNG stream keyed by (seed, replicate index), which
 makes runs reproducible replicate by replicate and independent of scheduling.
-A range of replicates runs on one Generator re-keyed in place by ``streams``,
-so replicate i still draws exactly what ``stream(seed, i)`` draws.
+The one event loop, ``_trajectories``, walks a whole range of replicates on
+one Generator re-keyed in place by ``streams``, so replicate i still draws
+exactly what ``stream(seed, i)`` draws; ``simulate_counts`` is that loop run
+on a single Generator.
 """
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -52,41 +55,56 @@ class SimConfig:
             )
 
 
+def _trajectories(params: ModelParams, horizons, rngs, sampler: InverseCdfSampler,
+                  max_population: int) -> Iterator[tuple]:
+    """Counts observed at each horizon along one trajectory from X(0) = 1,
+    as one tuple per Generator in ``rngs``.
+
+    Each trajectory draws from its own Generator only: an exponential holding
+    time per event, then an offspring draw unless the event falls past the
+    last horizon.  An extinct population fills the remaining horizons with
+    zeros without drawing again.
+    """
+    bounds = (*horizons, math.inf)  # the sentinel ends every horizon scan
+    n_horizons = len(horizons)
+    zeros = (0,) * n_horizons
+    rate = params.rate
+    draw = sampler.draw
+    for rng in rngs:
+        expo = rng.standard_exponential
+        path = ()
+        count = 1
+        t = 0.0
+        i = 0
+        while count:
+            t += expo() / (rate * count)
+            while bounds[i] < t:
+                path += (count,)
+                i += 1
+            if i == n_horizons:
+                break
+            count += draw(rng) - 1
+            if count > max_population:
+                raise PopulationCapExceeded(
+                    f"population {count} exceeded cap {max_population}"
+                )
+        yield path + zeros[i:]
+
+
 def simulate_counts(params: ModelParams, horizons, rng: np.random.Generator,
                     sampler: InverseCdfSampler = None,
                     max_population: int = 10_000_000) -> np.ndarray:
     """Counts observed at each horizon along one trajectory from X(0) = 1.
 
-    The event loop never simulates past the last horizon, and an extinct
-    population fills the remaining horizons with zeros immediately.  Without
-    ``sampler``, a fresh ``offspring_sampler(params)`` is built.
+    This is the range event loop run on one Generator: it never simulates
+    past the last horizon, and an extinct population fills the remaining
+    horizons with zeros immediately.  Without ``sampler``, a fresh
+    ``offspring_sampler(params)`` is built.
     """
     if sampler is None:
         sampler = offspring_sampler(params)
-    out = np.empty(len(horizons), dtype=np.int64)
-    count = 1
-    t = 0.0
-    i = 0
-    n_horizons = len(horizons)
-    rate = params.rate
-    draw = sampler.draw
-    expo = rng.standard_exponential
-    while True:
-        if count == 0:
-            out[i:] = 0
-            return out
-        t_next = t + expo() / (rate * count)
-        while i < n_horizons and horizons[i] < t_next:
-            out[i] = count
-            i += 1
-        if i == n_horizons:
-            return out
-        t = t_next
-        count += draw(rng) - 1
-        if count > max_population:
-            raise PopulationCapExceeded(
-                f"population {count} exceeded cap {max_population}"
-            )
+    path = next(_trajectories(params, horizons, (rng,), sampler, max_population))
+    return np.array(path, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -108,25 +126,29 @@ class EmpiricalLaw:
 
 
 def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
+    """Per-horizon histograms of replicates ``start`` to ``stop``.
+
+    Whole paths are tallied first, since far fewer distinct paths than
+    replicates occur, and expanded into one histogram per horizon at the end.
+    """
+    paths = Counter(_trajectories(cfg.params, cfg.horizons,
+                                  streams(cfg.seed, start, stop),
+                                  offspring_sampler(cfg.params), cfg.max_population))
     tallies = [Counter() for _ in cfg.horizons]
-    params = cfg.params
-    horizons = cfg.horizons
-    cap = cfg.max_population
-    sampler = offspring_sampler(params)
-    for rng in streams(cfg.seed, start, stop):
-        counts = simulate_counts(params, horizons, rng, sampler, cap)
-        for tally, c in zip(tallies, counts):
-            tally[int(c)] += 1
+    for path, times in paths.items():
+        for tally, count in zip(tallies, path):
+            tally[count] += times
     return tallies
 
 
 def estimate_law(cfg: SimConfig, workers: int = 1) -> list:
     """One EmpiricalLaw per horizon, from ``cfg.replicates`` trajectories.
 
-    Each range of replicates runs on one Generator re-keyed by ``streams``.
-    The result is identical for any worker count: replicate index i always
-    draws exactly what ``stream(seed, i)`` draws, and histogram merging is
-    commutative.
+    Each range of replicates runs through one event loop on one Generator
+    re-keyed by ``streams``, and its whole paths are tallied before they are
+    split into per-horizon histograms.  The result is identical for any
+    worker count: replicate index i always draws exactly what
+    ``stream(seed, i)`` draws, and histogram merging is commutative.
     """
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers!r}")

@@ -265,7 +265,9 @@ def numeric_conditional_limit(mech: Mechanism, s_grid,
     for s in s_grid:
         if not 0.0 <= s <= 1.0:
             raise DomainError(f"grid points must lie in [0, 1], got {s!r}")
-        g_end = integrate_complement(mech, 1.0 - s, t_big, step).final
+        g0 = 1.0 - s
+        # g0 == 1.0 starts where the survival solve did, so it ends there too
+        g_end = survival if g0 == 1.0 else integrate_complement(mech, g0, t_big, step).final
         ratios.append(1.0 - g_end / survival)
     return np.array(ratios)
 

@@ -177,10 +177,32 @@ class TestSimulateCommand:
         assert result.exit_code == 2
 
     def test_population_cap_exit_code(self, runner):
-        result = runner.invoke(cli, ["simulate", "--alpha", "0.5", "--k", "1",
-                                     "--times", "10", "--replicates", "500",
-                                     "--seed", "23", "--max-population", "3"])
-        assert result.exit_code == 3
+        for workers in ("1", "2"):
+            result = runner.invoke(cli, ["simulate", "--alpha", "0.5", "--k", "1",
+                                         "--times", "10", "--replicates", "500",
+                                         "--seed", "23", "--max-population", "3",
+                                         "--workers", workers])
+            assert result.exit_code == 3
+
+    def test_pinned_stream_counts(self, runner):
+        # the (time, n, count) rows recorded when replicate i drew exactly
+        # what stream(9, i) draws; a change of draw order changes them
+        result = runner.invoke(cli, ["simulate", "--alpha", "0.75", "--k", "1",
+                                     "--times", "1,4,16", "--replicates", "5000",
+                                     "--seed", "9", "--workers", "2"])
+        assert result.exit_code == 0
+        header, rows = _rows(result.output)
+        assert header[:3] == ["time", "n", "count"]
+        triples = [(float(t), int(n), int(c)) for t, n, c, *_ in rows]
+        assert triples == [
+            (1.0, 0, 2448), (1.0, 1, 2107), (1.0, 2, 256), (1.0, 3, 95),
+            (1.0, 4, 40), (1.0, 5, 14), (1.0, 6, 18), (1.0, 7, 5), (1.0, 8, 9),
+            (1.0, 9, 2), (1.0, 10, 3), (1.0, 11, 2), (1.0, 12, 1),
+            (4.0, 0, 4467), (4.0, 1, 334), (4.0, 2, 102), (4.0, 3, 29),
+            (4.0, 4, 26), (4.0, 5, 12), (4.0, 6, 9), (4.0, 7, 8), (4.0, 8, 3),
+            (4.0, 9, 4), (4.0, 10, 3), (4.0, 12, 1), (4.0, 15, 2),
+            (16.0, 0, 4993), (16.0, 1, 6), (16.0, 11, 1),
+        ]
 
 
 class TestVerifyCommand:
