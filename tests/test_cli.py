@@ -184,12 +184,13 @@ class TestSimulateCommand:
                                          "--workers", workers])
             assert result.exit_code == 3
 
-    def test_pinned_stream_counts(self, runner):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_pinned_stream_counts(self, runner, workers):
         # the (time, n, count) rows recorded when replicate i drew exactly
         # what stream(9, i) draws; a change of draw order changes them
         result = runner.invoke(cli, ["simulate", "--alpha", "0.75", "--k", "1",
                                      "--times", "1,4,16", "--replicates", "5000",
-                                     "--seed", "9", "--workers", "2"])
+                                     "--seed", "9", "--workers", workers])
         assert result.exit_code == 0
         header, rows = _rows(result.output)
         assert header[:3] == ["time", "n", "count"]

@@ -177,13 +177,6 @@ class TestEstimateLaw:
         laws = estimate_law(cfg, workers=workers)
         assert [law.counts for law in laws] == [dict(tally) for tally in tallies]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_cap_raised_through_range(self, params_half, workers):
-        # the range loop raises in the worker, and the pool re-raises it here
-        cfg = SimConfig(params_half, (10.0,), 500, 23, max_population=3)
-        with pytest.raises(PopulationCapExceeded):
-            estimate_law(cfg, workers=workers)
-
     def test_rejects_bad_workers(self, params_half):
         cfg = SimConfig(params_half, (1.0,), 100, 7)
         with pytest.raises(DomainError):
