@@ -37,7 +37,9 @@ def streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
     is re-keyed in place to (seed, i) with a fresh counter and an empty
     buffer: each yielded Generator draws exactly what ``stream(seed, i)``
     would, without building a new one.  Each is valid only until the next
-    one is yielded.
+    one is yielded.  The reused state holds plain ints rather than the uint64
+    arrays ``bitgen.state`` returns, since the setter reads them element by
+    element and an array would make a numpy scalar of each on every re-key.
     """
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must fit in 64 bits, got {seed!r}")
@@ -47,6 +49,8 @@ def streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
         )
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     fresh = bitgen.state
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     rng = np.random.Generator(bitgen)
 

@@ -62,6 +62,19 @@ class TestStreams:
         fresh = [_mixed_draws(stream(77, i)) for i in range(start, stop)]
         assert rekeyed == fresh
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["seed-0", "seed-2**64-1"])
+    @pytest.mark.parametrize("start,stop", [(0, 2), (2**63 - 1, 2**63 + 1), (2**64 - 2, 2**64)],
+                             ids=["0-1", "2**63", "2**64-1"])
+    def test_matches_independent_philox(self, seed, start, stop):
+        # stream is next(streams(...)), so only a Generator built without the
+        # re-key can catch a fault the two share
+        def independent(i):
+            return np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+
+        expected = [_mixed_draws(independent(i)) for i in range(start, stop)]
+        assert [_mixed_draws(rng) for rng in streams(seed, start, stop)] == expected
+        assert [_mixed_draws(stream(seed, i)) for i in range(start, stop)] == expected
+
     def test_partly_consumed_buffer_is_reset(self):
         # one 32-bit draw leaves three words buffered and a cached half word
         def draws(rng):
