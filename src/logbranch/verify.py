@@ -1,17 +1,24 @@
 """Independent numerical cross-checks for the closed-form results.
 
-Three kinds of evidence are produced here, none of which reuses the closed
-forms being checked:
+Every check is a named row of ``run_suite``. None reuses the closed form it
+checks, except as the value it is compared against. The rows are:
 
+* identities the generating function must satisfy: the semigroup property,
+  the defining power identity, the backward and forward equations by finite
+  differences, and the implicit one-parameter solution identity at every
+  (t, s); the pmf rows check normalisation and positivity;
+* moment rows: factorial moments against Richardson differences of the plain
+  power-form generating function, and against survival times the conditional
+  family's moments;
 * fixed-step RK4 integration of the backward equation dF/dt = f(F), always
   stepped on the complement G = 1 - F, whose drift rate (phi(G) - G) is
   written per mechanism in cancellation-free form so no precision is lost
   when G is tiny; RK4 is affine-invariant, so reading F back as 1 - G is the
   same scheme as stepping F;
-* the implicit one-parameter solution identity that the generating function
-  must satisfy at every (t, s);
 * long-time conditional limits for four reproduction mechanisms, each with
-  its own closed-form limit generating function to compare against.
+  its own closed-form limit generating function to compare against;
+* family rows: the conditional law is ExtendedSibuya(M(t), alpha), and it
+  approaches LogSeries(alpha) in total variation at the first-order rate.
 
 Every check returns a CheckResult; a result passes when residual <= tolerance.
 """
@@ -25,7 +32,7 @@ import numpy as np
 from . import closed_form
 from .distributions import ExtendedSibuya, LogSeries
 from .errors import DomainError, NumericalDivergence, PrecisionLoss
-from .model import ModelParams
+from .model import ModelParams, infinitesimal_gen
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,6 @@ def standard_mechanisms() -> tuple:
 class OdeSolution:
     """A fixed-step trajectory; values[i] approximates the state at times[i]."""
 
-    step: float
     times: np.ndarray
     values: np.ndarray
 
@@ -153,8 +159,10 @@ class OdeSolution:
         return float(self.values[-1])
 
     def value_at(self, t: float) -> float:
-        idx = int(round(t / self.step))
-        if idx < 0 or idx >= len(self.times) or abs(self.times[idx] - t) > 1e-9:
+        # search the times themselves: the last step is a shorter remainder
+        # whenever the horizon is not a multiple of the step
+        idx = int(np.searchsorted(self.times, t - 1e-9))
+        if idx == len(self.times) or abs(self.times[idx] - t) > 1e-9:
             raise DomainError(f"time {t!r} is not on the integration grid")
         return float(self.values[idx])
 
@@ -188,7 +196,7 @@ def _rk4(field: Callable, x0: float, t_end: float, step: float) -> OdeSolution:
             )
         values.append(x)
         times.append(t)
-    return OdeSolution(step, np.array(times), np.array(values))
+    return OdeSolution(np.array(times), np.array(values))
 
 
 def integrate_backward(mech: Mechanism, s0: float, t_end: float,
@@ -202,7 +210,7 @@ def integrate_backward(mech: Mechanism, s0: float, t_end: float,
     if not 0.0 <= s0 <= 1.0:
         raise DomainError(f"initial value must lie in [0, 1], got {s0!r}")
     path = _rk4(mech.complement_drift, 1.0 - s0, t_end, step)
-    return OdeSolution(step, path.times, 1.0 - path.values)
+    return OdeSolution(path.times, 1.0 - path.values)
 
 
 def integrate_complement(mech: Mechanism, g0: float, t_end: float,
@@ -245,21 +253,24 @@ def check_implicit_solution(params: ModelParams, tp, s: float) -> float:
     return lhs - rhs
 
 
-def numeric_conditional_limit(mech: Mechanism, s_grid,
-                              mean_target: float = 1e-3) -> np.ndarray:
+_LIMIT_MEAN_TARGET = 1e-3
+
+
+def numeric_conditional_limit(mech: Mechanism, s_grid) -> np.ndarray:
     """Conditional generating function 1 - G(t, s)/G(t, 0) at the time where
-    the mean decays to ``mean_target``, by complement integration with the
-    largest step of at most 0.01 that divides that time evenly.
+    the mean decays to 1e-3, by complement integration with the largest step
+    of at most 0.01 that divides that time evenly.
 
     Raises PrecisionLoss when survival falls below 1e-12, past which the
     conditional ratio cannot be trusted at the advertised accuracy.
     """
-    t_big = mech.time_to_mean(mean_target)
+    t_big = mech.time_to_mean(_LIMIT_MEAN_TARGET)
     step = t_big / math.ceil(t_big / 0.01)
     survival = integrate_complement(mech, 1.0, t_big, step).final
     if survival < 1e-12:
         raise PrecisionLoss(
-            f"survival {survival!r} at mean target {mean_target!r} is below 1e-12"
+            f"survival {survival!r} at mean target {_LIMIT_MEAN_TARGET!r} "
+            "is below 1e-12"
         )
     ratios = []
     for s in s_grid:
@@ -286,20 +297,39 @@ def _result(name: str, residual: float, tolerance: float) -> CheckResult:
     return CheckResult(name, float(residual), tolerance, residual <= tolerance)
 
 
+def _power_form_pgf(params: ModelParams, mean: float, s: float) -> float:
+    """F(t, s) = 1 - ((1 - a)/a)(((1 - a s)/(1 - a))^M - 1) in plain power
+    form, independent of the expm1/log1p closed form; valid for s < 1/a."""
+    a = params.alpha
+    return 1.0 - ((1 - a) / a) * (((1 - a * s) / (1 - a)) ** mean - 1.0)
+
+
+def _richardson_derivative(f: Callable, s: float, n: int, h: float) -> float:
+    """nth central difference of f at s, extrapolated from h and h/2."""
+    def diff(step):
+        total = 0.0
+        for k in range(n + 1):
+            total += (-1) ** k * math.comb(n, k) * f(s + (n / 2 - k) * step)
+        return total / step ** n
+
+    return (4.0 * diff(h / 2) - diff(h)) / 3.0
+
+
 def closed_form_suite() -> list:
     """Identity checks on the closed-form generating function and pmf."""
     params = ModelParams(0.5, 1.0)
     results = []
 
-    rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(100):
-        t, u = rng.uniform(0.05, 3.0, size=2)
-        s = rng.uniform(0.0, 1.0)
-        inner = closed_form.pgf_at(params, params.at(u), s)
-        composed = closed_form.pgf_at(params, params.at(t), inner)
-        direct = closed_form.pgf_at(params, params.at(t + u), s)
-        worst = max(worst, abs(composed - direct))
+    for seed, t_low, t_high in ((7, 0.05, 3.0), (20240817, 0.01, 5.0)):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            t, u = rng.uniform(t_low, t_high, size=2)
+            s = rng.uniform(0.0, 1.0)
+            inner = closed_form.pgf_at(params, params.at(u), s)
+            composed = closed_form.pgf_at(params, params.at(t), inner)
+            direct = closed_form.pgf_at(params, params.at(t + u), s)
+            worst = max(worst, abs(composed - direct))
     results.append(_result("semigroup_composition", worst, 1e-12))
 
     worst = 0.0
@@ -312,8 +342,6 @@ def closed_form_suite() -> list:
             rhs = math.exp(tp.mean * math.log1p(a * (1.0 - s) / (1.0 - a)))
             worst = max(worst, abs(lhs - rhs))
     results.append(_result("defining_power_identity", worst, 1e-12))
-
-    from .model import infinitesimal_gen
 
     worst = 0.0
     dt = 1e-5
@@ -361,6 +389,23 @@ def closed_form_suite() -> list:
     tp = params.at(1.0)
     bad = sum(1 for n in range(1, 201) if not closed_form.pmf(params, tp, n) > 0.0)
     results.append(_result("pmf_positive_through_200", float(bad), 0.0))
+
+    worst_fd = 0.0
+    worst_split = 0.0
+    for t in (0.5, 1.0, 2.0):
+        tp = params.at(t)
+        family = closed_form.conditional_family(params, tp)
+        survival = closed_form.survival_prob(params, tp)
+        for n in range(1, 5):
+            exact = closed_form.factorial_moment(params, tp, n)
+            approx = _richardson_derivative(
+                lambda s: _power_form_pgf(params, tp.mean, s), 1.0, n, 0.05
+            )
+            worst_fd = max(worst_fd, abs(approx - exact) / exact)
+            split = family.factorial_moment(n) * survival
+            worst_split = max(worst_split, abs(split - exact) / exact)
+    results.append(_result("factorial_moment_derivatives", worst_fd, 1e-4))
+    results.append(_result("conditional_moment_decomposition", worst_split, 1e-12))
 
     return results
 
@@ -411,33 +456,33 @@ def limit_suite() -> list:
     results = []
 
     limit = closed_form.limit_law(params)
-    targets = (1e-1, 1e-2, 1e-3)
     tvs = []
-    for target in targets:
-        t = math.log(target) / params.malthusian_rate
-        tp = params.at(t)
-        tvs.append(closed_form.tv_distance(
-            closed_form.conditional_law_at(params, tp), limit
-        ))
-    worst_increase = max(b - a for a, b in zip(tvs, tvs[1:]))
-    results.append(_result("tv_to_limit_decreasing", worst_increase, 0.0))
-
-    ratios = [tv / target for tv, target in zip(tvs, targets)]
-    spread = max(
-        max(r2 / r1, r1 / r2) for r1, r2 in zip(ratios, ratios[1:])
-    )
-    results.append(_result("tv_rate_consistency", spread, 3.0))
+    ratios = []
+    for target in (1e-1, 1e-2, 1e-3):
+        tp = params.at(math.log(target) / params.malthusian_rate)
+        tv = closed_form.tv_distance(closed_form.conditional_law_at(params, tp), limit)
+        tvs.append(tv)
+        ratios.append(tv / tp.mean)
+    # counts the steps where TV failed to shrink: an equal TV fails too
+    stalls = sum(1 for a, b in zip(tvs, tvs[1:]) if not b < a)
+    results.append(_result("tv_to_limit_decreasing", float(stalls), 0.0))
+    results.append(_result("tv_rate_consistency", max(ratios) / min(ratios), 3.0))
 
     # the family against the conditional pgf 1 - (1 - F(t, s)) / P(X(t) > 0)
-    # derived from F, not against conditional_family, which is the family itself
+    # derived from F, not against conditional_family, which is the family itself;
+    # a (t, s) grid at alpha 0.5, then 100 random (alpha, t, s)
+    points = [(params, t, float(s))
+              for t in (0.5, 1.0, 2.0) for s in np.linspace(0.0, 1.0, 21)]
+    rng = np.random.default_rng(731)
+    for _ in range(100):
+        p = ModelParams(rng.uniform(0.05, 0.76), 1.0)
+        t = rng.uniform(0.1, 5.0)
+        points.append((p, t, rng.uniform(0.0, 1.0)))
     worst = 0.0
-    for t in (0.5, 1.0, 2.0):
-        tp = params.at(t)
-        bridge = ExtendedSibuya(tp.mean, params.alpha)
-        survival = closed_form.survival_prob(params, tp)
-        for s in np.linspace(0.0, 1.0, 21):
-            from_f = 1.0 - closed_form.pgf_complement(params, tp, float(s)) / survival
-            worst = max(worst, abs(from_f - bridge.pgf(float(s))))
+    for p, t, s in points:
+        tp = p.at(t)
+        from_f = 1.0 - closed_form.pgf_complement(p, tp, s) / closed_form.survival_prob(p, tp)
+        worst = max(worst, abs(from_f - ExtendedSibuya(tp.mean, p.alpha).pgf(s)))
     results.append(_result("extended_sibuya_bridge", worst, 1e-12))
 
     t_small = math.log(1e-4) / params.malthusian_rate

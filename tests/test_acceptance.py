@@ -1,58 +1,112 @@
 """End-to-end acceptance checks.
 
-Each test exercises one headline guarantee of the package and prints a
-single PASS/FAIL line (visible even under normal pytest capture) so the
-whole gate can be audited at a glance:
+Each test prints a single PASS/FAIL line (visible even under normal pytest
+capture) so the whole gate can be audited at a glance. Seven of the nine
+headline guarantees are ``logbranch verify`` rows, printed from the same
+CheckResult list the CLI renders; the other two are gates on time or on a
+million-replicate simulation:
 
-1. the critical offspring weight is located fast and accurately;
-2. the RK4 backward integrator reproduces the closed-form generating
-   function to 1e-8 and converges at fourth order;
+1. the critical offspring weight is located in under 1 ms, to 6 digits
+   (``test_criterion_1_critical_threshold``);
+2. RK4 reproduces the closed-form generating function to 1e-8 and converges
+   at fourth order, with the ode suite under 5 s: ``rk4_vs_closed_form``,
+   ``rk4_convergence_order``;
 3. a million-replicate exact simulation matches the closed-form law
-   (goodness of fit, extinction mass, mean) within sampling error;
-4. the implicit characterisation of the generating function holds to
-   1e-10 across a (t, s) grid;
-5. the conditional law approaches its limit law at the predicted
-   first-order rate in the decaying mean;
-6. closed-form factorial moments agree with numerical derivatives of
-   the generating function and with the conditional decomposition;
+   (goodness of fit, extinction mass, mean) within sampling error
+   (``test_criterion_3_monte_carlo``);
+4. the implicit characterisation of the generating function holds to 1e-10
+   on a 20x20 (t, s) grid: ``implicit_solution_identity``;
+5. the conditional law approaches its limit law at the first-order rate in
+   the decaying mean: ``tv_to_limit_decreasing``, ``tv_rate_consistency``;
+6. closed-form factorial moments agree with numerical derivatives of the
+   generating function and with the conditional decomposition:
+   ``factorial_moment_derivatives``, ``conditional_moment_decomposition``;
 7. every reproduction mechanism's numeric conditional limit matches its
-   closed form to 1e-4;
-8. the conditional law's generating function coincides with the
-   two-parameter power-series family it is claimed to be;
-9. the generating function satisfies the semigroup property to 1e-12.
+   closed form to 1e-4, with the table1 suite under 30 s: ``limit_law_*``;
+8. the conditional law's generating function is the two-parameter
+   power-series family it is claimed to be: ``extended_sibuya_bridge``;
+9. the generating function satisfies the semigroup property to 1e-12:
+   ``semigroup_composition``.
+
+The remaining rows are checked here too, so every row of ``verify --suite
+all`` is named below, and a row that disappears fails.
 """
 
 import math
 import time
 
-import numpy as np
+import pytest
 
 from logbranch import (
-    ExtendedSibuya,
-    ModelParams,
-    check_implicit_solution,
     conditional_family,
-    conditional_law_at,
     critical_alpha,
     extinction_prob,
     factorial_moment,
-    limit_law,
-    ode_suite,
-    pgf_at,
-    pgf_complement,
     pmf,
-    survival_prob,
-    table1_suite,
-    tv_distance,
+    run_suite,
 )
 
-PARAMS = ModelParams(alpha=0.5, rate=1.0)
+SUITE_ROWS = {
+    "closed-form": (
+        "semigroup_composition",
+        "defining_power_identity",
+        "backward_equation_fd",
+        "forward_equation_fd",
+        "implicit_solution_identity",
+        "pmf_normalization",
+        "pmf_positive_through_200",
+        "factorial_moment_derivatives",
+        "conditional_moment_decomposition",
+    ),
+    "ode": ("rk4_vs_closed_form", "rk4_convergence_order"),
+    "table1": (
+        "limit_law_log-mixture",
+        "limit_law_geometric",
+        "limit_law_binary",
+        "limit_law_linear",
+    ),
+    "limit": (
+        "tv_to_limit_decreasing",
+        "tv_rate_consistency",
+        "extended_sibuya_bridge",
+        "conditional_moments_to_limit",
+    ),
+}
+
+# wall-time gates of criteria 2 and 7, in seconds per suite
+SUITE_BUDGET_S = {"ode": 5.0, "table1": 30.0}
 
 
 def _verdict(capsys, label, ok, detail):
     with capsys.disabled():
         print(f"\n[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
     assert ok, f"{label}: {detail}"
+
+
+@pytest.fixture(scope="module")
+def verify_rows():
+    """Every suite run once through ``run_suite`` and timed; maps each row
+    name to (suite, CheckResult, suite seconds)."""
+    rows = {}
+    for suite, names in SUITE_ROWS.items():
+        tic = time.perf_counter()
+        results = run_suite(suite)
+        elapsed = time.perf_counter() - tic
+        assert tuple(r.name for r in results) == names
+        rows.update((r.name, (suite, r, elapsed)) for r in results)
+    return rows
+
+
+@pytest.mark.parametrize("name", [name for names in SUITE_ROWS.values() for name in names])
+def test_verify_row(capsys, verify_rows, name):
+    suite, result, elapsed = verify_rows[name]
+    budget = SUITE_BUDGET_S.get(suite, math.inf)
+    ok = result.passed and elapsed < budget
+    timing = f"{suite} suite {elapsed:.2f} s"
+    if suite in SUITE_BUDGET_S:
+        timing += f" (budget {budget:g} s)"
+    _verdict(capsys, name,
+             ok, f"residual={result.residual:.3e}, tolerance={result.tolerance:g}, {timing}")
 
 
 def test_criterion_1_critical_threshold(capsys):
@@ -67,17 +121,6 @@ def test_criterion_1_critical_threshold(capsys):
     _verdict(capsys, "critical threshold",
              ok, f"root={root:.10f}, |root-0.772638|={gap:.2e}, "
                  f"best timing {best * 1e3:.3f} ms")
-
-
-def test_criterion_2_ode_agreement(capsys):
-    tic = time.perf_counter()
-    results = ode_suite()
-    elapsed = time.perf_counter() - tic
-    worst = max(r.residual / r.tolerance for r in results)
-    ok = all(r.passed for r in results) and elapsed < 5.0
-    _verdict(capsys, "rk4 vs closed form",
-             ok, f"{len(results)} checks, worst residual/tol={worst:.2e}, "
-                 f"{elapsed:.2f} s")
 
 
 def test_criterion_3_monte_carlo(capsys, big_sim, gof_pvalue):
@@ -105,109 +148,3 @@ def test_criterion_3_monte_carlo(capsys, big_sim, gof_pvalue):
                        f"z_ext={z_ext:.2f}, z_mean={z_mean:.2f}")
     _verdict(capsys, "monte carlo vs closed form",
              ok, f"{n} replicates in {elapsed:.1f} s; " + "; ".join(details))
-
-
-def test_criterion_4_implicit_solution(capsys):
-    worst = 0.0
-    for t in np.linspace(0.1, 5.0, 20):
-        tp = PARAMS.at(float(t))
-        for s in np.linspace(0.0, 1.0 - 1e-6, 20):
-            worst = max(worst, abs(check_implicit_solution(PARAMS, tp, float(s))))
-    ok = worst < 1e-10
-    _verdict(capsys, "implicit characterisation",
-             ok, f"max |residual|={worst:.2e} on 20x20 grid")
-
-
-def test_criterion_5_limit_convergence_rate(capsys):
-    lim = limit_law(PARAMS)
-    tvs, ratios = [], []
-    for target in (1e-1, 1e-2, 1e-3):
-        t = math.log(target) / PARAMS.malthusian_rate
-        tp = PARAMS.at(t)
-        tv = tv_distance(conditional_law_at(PARAMS, tp), lim)
-        tvs.append(tv)
-        ratios.append(tv / tp.mean)
-    decreasing = tvs[0] > tvs[1] > tvs[2]
-    spread = max(ratios) / min(ratios)
-    ok = decreasing and spread < 3.0
-    _verdict(capsys, "first-order limit approach",
-             ok, f"TV={tvs[0]:.2e},{tvs[1]:.2e},{tvs[2]:.2e}; "
-                 f"TV/mean={ratios[0]:.4f},{ratios[1]:.4f},{ratios[2]:.4f} "
-                 f"(spread {spread:.3f})")
-
-
-def _raw_pgf(params, mean, s):
-    # plain power form, independent of the expm1/log1p implementation
-    a = params.alpha
-    return 1.0 - ((1 - a) / a) * (((1 - a * s) / (1 - a)) ** mean - 1.0)
-
-
-def _nth_derivative(f, s, n, h):
-    def diff(step):
-        total = 0.0
-        for k in range(n + 1):
-            total += (-1) ** k * math.comb(n, k) * f(s + (n / 2 - k) * step)
-        return total / step ** n
-
-    return (4.0 * diff(h / 2) - diff(h)) / 3.0
-
-
-def test_criterion_6_factorial_moments(capsys):
-    worst_fd = 0.0
-    worst_split = 0.0
-    for t in (0.5, 1.0, 2.0):
-        tp = PARAMS.at(t)
-        for n in range(1, 5):
-            exact = factorial_moment(PARAMS, tp, n)
-            approx = _nth_derivative(lambda s: _raw_pgf(PARAMS, tp.mean, s),
-                                     1.0, n, h=0.05)
-            worst_fd = max(worst_fd, abs(approx - exact) / exact)
-            recombined = (conditional_family(PARAMS, tp).factorial_moment(n)
-                          * survival_prob(PARAMS, tp))
-            worst_split = max(worst_split, abs(recombined - exact) / exact)
-    ok = worst_fd < 1e-4 and worst_split < 1e-12
-    _verdict(capsys, "factorial moments",
-             ok, f"vs finite differences rel={worst_fd:.2e}, "
-                 f"conditional decomposition rel={worst_split:.2e}")
-
-
-def test_criterion_7_mechanism_table(capsys):
-    tic = time.perf_counter()
-    results = table1_suite()
-    elapsed = time.perf_counter() - tic
-    worst = max(r.residual for r in results)
-    ok = all(r.passed for r in results) and elapsed < 30.0
-    _verdict(capsys, "conditional limits across mechanisms",
-             ok, f"{len(results)} mechanisms, max gap={worst:.2e}, "
-                 f"{elapsed:.2f} s")
-
-
-def test_criterion_8_conditional_family(capsys):
-    rng = np.random.default_rng(731)
-    worst = 0.0
-    for _ in range(100):
-        params = ModelParams(alpha=rng.uniform(0.05, 0.76), rate=1.0)
-        tp = params.at(rng.uniform(0.1, 5.0))
-        family = ExtendedSibuya(gamma=tp.mean, b=params.alpha)
-        s = rng.uniform(0.0, 1.0)
-        # conditional pgf from F: 1 - (1 - F(t, s)) / P(X(t) > 0)
-        from_f = 1.0 - pgf_complement(params, tp, s) / survival_prob(params, tp)
-        gap = abs(from_f - family.pgf(s))
-        worst = max(worst, gap)
-    ok = worst <= 1e-12
-    _verdict(capsys, "conditional law family",
-             ok, f"max |pgf gap|={worst:.2e} over 100 random (alpha, t, s)")
-
-
-def test_criterion_9_semigroup(capsys):
-    rng = np.random.default_rng(20240817)
-    worst = 0.0
-    for _ in range(100):
-        t, u = rng.uniform(0.01, 5.0, size=2)
-        s = rng.uniform(0.0, 1.0)
-        one_step = pgf_at(PARAMS, PARAMS.at(t + u), s)
-        two_step = pgf_at(PARAMS, PARAMS.at(t), pgf_at(PARAMS, PARAMS.at(u), s))
-        worst = max(worst, abs(one_step - two_step))
-    ok = worst < 1e-12
-    _verdict(capsys, "semigroup property",
-             ok, f"max |gap|={worst:.2e} over 100 random (t, u, s)")

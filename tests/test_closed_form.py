@@ -30,28 +30,11 @@ from logbranch import (
 from logbranch.closed_form import _build_law
 from logbranch.distributions import _log_falling_mean
 from logbranch.model import infinitesimal_gen
+from logbranch.verify import _power_form_pgf, _richardson_derivative
 
 alphas = st.floats(min_value=0.01, max_value=0.75)
 times = st.floats(min_value=0.01, max_value=8.0)
 s_unit = st.floats(min_value=0.0, max_value=1.0)
-
-
-def _raw_pgf(params, mean, s):
-    # direct formula transcription, valid for s < 1/alpha; used as an
-    # independent base for finite-difference oracles beyond s = 1
-    a = params.alpha
-    return 1.0 - ((1.0 - a) / a) * math.expm1(mean * math.log1p(a * (1.0 - s) / (1.0 - a)))
-
-
-def _richardson_derivative(f, s, n, h):
-    # nth central difference extrapolated from h and h/2 (leaves O(h^4))
-    def diff(step):
-        total = 0.0
-        for k in range(n + 1):
-            total += (-1) ** k * math.comb(n, k) * f(s + (n / 2 - k) * step)
-        return total / step**n
-
-    return (4.0 * diff(h / 2) - diff(h)) / 3.0
 
 
 def _pgf_dt(params, tp, s):
@@ -192,9 +175,9 @@ class TestPmf:
         assert all(pmf(params_half, tp, n) > 0.0 for n in range(1, 201))
 
     def test_matches_taylor_coefficients(self, params_half):
-        # independent oracle: n-th derivative of the raw pgf at s = 0 over n!
+        # independent oracle: n-th derivative of the power-form pgf at s = 0 over n!
         tp = params_half.at(1.0)
-        f = lambda s: _raw_pgf(params_half, tp.mean, s)
+        f = lambda s: _power_form_pgf(params_half, tp.mean, s)
         for n in range(1, 5):
             coefficient = _richardson_derivative(f, 0.0, n, 0.05) / math.factorial(n)
             assert pmf(params_half, tp, n) == pytest.approx(coefficient, rel=1e-3)
@@ -409,14 +392,6 @@ class TestFactorialMoments:
         tp = params_half.at(0.0)
         assert factorial_moment(params_half, tp, 2) == 0.0
         assert factorial_moment(params_half, tp, 5) == 0.0
-
-    def test_matches_richardson_difference(self, params_half):
-        for t in (0.5, 1.0, 2.0):
-            tp = params_half.at(t)
-            f = lambda s: _raw_pgf(params_half, tp.mean, s)
-            for n in range(1, 5):
-                fd = _richardson_derivative(f, 1.0, n, 0.05)
-                assert factorial_moment(params_half, tp, n) == pytest.approx(fd, rel=1e-4)
 
     def test_rejects_order_zero(self, params_half):
         with pytest.raises(DomainError):
