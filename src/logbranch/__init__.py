@@ -56,11 +56,9 @@ from .simulate import (
 from .verify import (
     CheckResult,
     Mechanism,
-    OdeSolution,
     binary_mechanism,
     check_implicit_solution,
     closed_form_suite,
-    convergence_order,
     geometric_mechanism,
     integrate_backward,
     integrate_complement,

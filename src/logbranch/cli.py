@@ -172,12 +172,9 @@ def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt)
     try:
         cfg = SimConfig(params, horizons, replicates, seed, max_population)
         tps = [params.at(t) for t in horizons]
-        if workers < 1:
-            raise DomainError(f"workers must be positive, got {workers!r}")
+        laws = estimate_law(cfg, workers=workers)
     except DomainError as exc:
         raise click.UsageError(str(exc))
-    try:
-        laws = estimate_law(cfg, workers=workers)
     except PopulationCapExceeded as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)

@@ -10,8 +10,9 @@ the population size X(t) started from a single particle is
 from which the pmf and the factorial moments follow.  The two laws the paper
 identifies are evaluated through their families in ``distributions``: given
 survival, X(t) is exactly ExtendedSibuya(M, alpha), which
-``conditional_family`` returns after the t > 0 check (the exact unit atom
-where M rounds to 1), and its long-time limit is exactly LogSeries(alpha).
+``conditional_family`` returns after the t > 0 check (where M rounds to 1
+that is ExtendedSibuya(1, alpha), the unit atom at 1), and its long-time
+limit is exactly LogSeries(alpha).
 ``conditional_pmf``, ``limit_law_pmf`` and ``limit_law_factorial_moment``
 are one-line wrappers over those families, kept only because the
 benchmark's traced replay (``perfbench/spans.py``) calls them by name; call
@@ -34,33 +35,6 @@ from dataclasses import dataclass
 from .distributions import ExtendedSibuya, LogSeries, _log_falling_mean
 from .errors import DomainError, PrecisionLoss
 from .model import ModelParams, TimePoint
-
-
-class _UnitAtom:
-    """All mass at 1: the law of X(t) wherever M rounds to 1 (t = 0, or t > 0
-    too small for exp(malthusian_rate t) to leave 1), with or without
-    conditioning on survival.  It is the gamma -> 1 end of
-    ExtendedSibuya(gamma, alpha), which that family's (0, 1) domain leaves
-    out; its pmf and its factorial moments are both 1 at n = 1 and 0 beyond.
-    """
-
-    def pmf(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"support starts at 1, got {n!r}")
-        return 1.0 if n == 1 else 0.0
-
-    def factorial_moment(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"moment order must be positive, got {n!r}")
-        return 1.0 if n == 1 else 0.0
-
-    def pgf(self, s: float) -> float:
-        if not abs(s) <= 1.0:
-            raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
-        return s
-
-
-_UNIT_ATOM = _UnitAtom()
 
 
 def _log_ratio(params: ModelParams, s: float) -> float:
@@ -109,7 +83,7 @@ def pmf(params: ModelParams, tp: TimePoint, n: int) -> float:
     if n < 0:
         raise DomainError(f"population size must be nonnegative, got {n!r}")
     if tp.mean == 1.0:
-        return _UNIT_ATOM.pmf(n) if n > 0 else 0.0
+        return float(n == 1)
     if n == 0:
         return extinction_prob(params, tp)
     a = params.alpha
@@ -129,7 +103,7 @@ def factorial_moment(params: ModelParams, tp: TimePoint, n: int) -> float:
     if n < 1:
         raise DomainError(f"moment order must be positive, got {n!r}")
     if tp.mean == 1.0:
-        return _UNIT_ATOM.factorial_moment(n)
+        return float(n == 1)
     a = params.alpha
     log_odds = math.log(a) - math.log1p(-a)
     return math.exp(
@@ -140,14 +114,11 @@ def factorial_moment(params: ModelParams, tp: TimePoint, n: int) -> float:
 def conditional_family(params: ModelParams, tp: TimePoint):
     """The law of X(t) given X(t) > 0, for t > 0: ExtendedSibuya(M, alpha).
 
-    Where M rounds to 1 this is the unit atom at 1, the family's gamma -> 1
-    end.  The result has ``pmf``, ``pgf`` and ``factorial_moment``; build it
-    once to evaluate many terms at the same time point.
+    Where M rounds to 1 this is ExtendedSibuya(1, alpha), the unit atom at 1.
+    Build it once to evaluate many terms at the same time point.
     """
     if not tp.t > 0.0:
         raise DomainError("conditioning on survival requires t > 0")
-    if tp.mean == 1.0:
-        return _UNIT_ATOM
     return ExtendedSibuya(tp.mean, params.alpha)
 
 
@@ -192,26 +163,29 @@ class DiscreteLaw:
         return math.fsum(self.probs) + self.tail_mass
 
 
-def _build_law(pmf_at_n, support_offset: int, ratio_bound: float,
-               tail_bound: float, max_terms: int = 100_000) -> DiscreteLaw:
+_TAIL_BOUND = 1e-12
+_MAX_TERMS = 100_000
+
+
+def _build_law(pmf_at_n, support_offset: int, ratio_bound: float) -> DiscreteLaw:
     """Tabulate pmf_at_n from support_offset until the geometric tail bound
-    pmf(n) * r / (1 - r) drops below tail_bound (valid once n >= 1)."""
+    pmf(n) * r / (1 - r) drops below _TAIL_BOUND (valid once n >= 1)."""
     probs = []
     n = support_offset
     while True:
         p = pmf_at_n(n)
         probs.append(p)
-        if n >= 1 and p * ratio_bound / (1.0 - ratio_bound) < tail_bound:
+        if n >= 1 and p * ratio_bound / (1.0 - ratio_bound) < _TAIL_BOUND:
             break
         n += 1
-        if n - support_offset >= max_terms:
-            raise PrecisionLoss(f"law table did not reach tail bound {tail_bound!r} "
-                                f"within {max_terms} terms")
+        if n - support_offset >= _MAX_TERMS:
+            raise PrecisionLoss(f"law table did not reach tail bound {_TAIL_BOUND!r} "
+                                f"within {_MAX_TERMS} terms")
     bound = probs[-1] * ratio_bound / (1.0 - ratio_bound)
     return DiscreteLaw(support_offset, tuple(probs), bound)
 
 
-def law_at(params: ModelParams, tp: TimePoint, tail_bound: float = 1e-12) -> DiscreteLaw:
+def law_at(params: ModelParams, tp: TimePoint) -> DiscreteLaw:
     """Table of P(X(t) = n) from n = 0, cut off by the certified alpha-ratio tail.
 
     The pmf ratio alpha (n - M)/(n + 1) stays below alpha for n >= 1, so the
@@ -219,18 +193,17 @@ def law_at(params: ModelParams, tp: TimePoint, tail_bound: float = 1e-12) -> Dis
     """
     if tp.mean == 1.0:
         return DiscreteLaw(0, (0.0, 1.0), 0.0)
-    return _build_law(lambda n: pmf(params, tp, n), 0, params.alpha, tail_bound)
+    return _build_law(lambda n: pmf(params, tp, n), 0, params.alpha)
 
 
-def conditional_law_at(params: ModelParams, tp: TimePoint,
-                       tail_bound: float = 1e-12) -> DiscreteLaw:
+def conditional_law_at(params: ModelParams, tp: TimePoint) -> DiscreteLaw:
     """Table of P(X(t) = n | X(t) > 0) from n = 1, same tail certificate."""
-    return _build_law(conditional_family(params, tp).pmf, 1, params.alpha, tail_bound)
+    return _build_law(conditional_family(params, tp).pmf, 1, params.alpha)
 
 
-def limit_law(params: ModelParams, tail_bound: float = 1e-12) -> DiscreteLaw:
+def limit_law(params: ModelParams) -> DiscreteLaw:
     """Table of the logarithmic-series limit law from n = 1."""
-    return _build_law(LogSeries(params.alpha).pmf, 1, params.alpha, tail_bound)
+    return _build_law(LogSeries(params.alpha).pmf, 1, params.alpha)
 
 
 def tv_distance(law_a: DiscreteLaw, law_b: DiscreteLaw) -> float:

@@ -10,7 +10,8 @@ LogSeries(alpha).
 Every term costs O(1).  The ExtendedSibuya terms carry the falling factorial
 |[gamma]_n| = gamma (1 - gamma) ... (n - 1 - gamma), which for 0 < gamma < 1
 telescopes to gamma Gamma(n - gamma) / Gamma(1 - gamma) and is assembled in
-log space through ``lgamma``.
+log space through ``lgamma``.  At gamma = 1 the factorial is 0 for every
+n >= 2, and the family is exactly the unit atom at 1.
 
 Sampling is exact: a prefix of the CDF is tabulated from the pmf and inverted
 by bisection; draws falling past the table run rejection under a certified
@@ -84,11 +85,12 @@ def _log_falling_mean(m: float, n: int) -> float:
 @dataclass(frozen=True)
 class ExtendedSibuya:
     """Two-parameter power-series law on {1, 2, ...} with pgf
-    (1 - (1 - b s)^gamma) / (1 - (1 - b)^gamma), 0 < gamma < 1, 0 < b < 1.
+    (1 - (1 - b s)^gamma) / (1 - (1 - b)^gamma), 0 < gamma <= 1, 0 < b < 1.
 
     P(N = n) = b^n |[gamma]_n| / (n! (1 - (1 - b)^gamma)).  ``log_norm`` is
     log(1 - (1 - b)^gamma), taken through expm1 so it keeps full precision
-    however small gamma gets.
+    however small gamma gets.  At gamma = 1 the law is the unit atom at 1,
+    whose pmf, factorial moments and pgf are returned exactly.
     """
 
     gamma: float
@@ -96,8 +98,8 @@ class ExtendedSibuya:
     log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma!r}")
+        if not 0.0 < self.gamma <= 1.0:
+            raise DomainError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if not 0.0 < self.b < 1.0:
             raise DomainError(f"b must lie in (0, 1), got {self.b!r}")
         object.__setattr__(
@@ -107,6 +109,8 @@ class ExtendedSibuya:
     def pmf(self, n: int) -> float:
         if n < 1:
             raise DomainError(f"support starts at 1, got {n!r}")
+        if self.gamma == 1.0:
+            return float(n == 1)
         return math.exp(
             n * math.log(self.b)
             + _log_falling_mean(self.gamma, n)
@@ -119,6 +123,8 @@ class ExtendedSibuya:
         OverflowError when it exceeds float range."""
         if n < 1:
             raise DomainError(f"moment order must be positive, got {n!r}")
+        if self.gamma == 1.0:
+            return float(n == 1)
         log_odds = math.log(self.b) - math.log1p(-self.b)
         return math.exp(
             n * log_odds
@@ -132,6 +138,8 @@ class ExtendedSibuya:
         full precision however small gamma gets; s = 1 returns exactly 1."""
         if not abs(s) <= 1.0:
             raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
+        if self.gamma == 1.0:
+            return s
         num = math.expm1(self.gamma * math.log1p(-self.b * s))
         return num / math.expm1(self.gamma * math.log1p(-self.b))
 
@@ -169,11 +177,9 @@ class LogSeries:
         return math.log1p(-self.alpha * s) / math.log1p(-self.alpha)
 
 
-def offspring_sampler(params: ModelParams, **kwargs) -> "InverseCdfSampler":
+def offspring_sampler(params: ModelParams) -> "InverseCdfSampler":
     """Exact sampler for the reproduction law; tail ratio alpha holds from n >= 2."""
-    return InverseCdfSampler(
-        partial(offspring_pmf, params), 0, ratio_bound=params.alpha, **kwargs
-    )
+    return InverseCdfSampler(partial(offspring_pmf, params), 0, ratio_bound=params.alpha)
 
 
 class InverseCdfSampler:

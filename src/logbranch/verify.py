@@ -58,16 +58,6 @@ class Mechanism:
     def complement_drift(self, g: float) -> float:
         return self.rate * (self.complement(g) - g)
 
-    @property
-    def malthusian_rate(self) -> float:
-        return self.rate * (self.mean - 1.0)
-
-    def time_to_mean(self, target: float) -> float:
-        """Time at which the expected population size decays to ``target``."""
-        if not 0.0 < target < 1.0:
-            raise DomainError(f"mean target must lie in (0, 1), got {target!r}")
-        return math.log(target) / self.malthusian_rate
-
 
 def log_mixture_mechanism(params: ModelParams) -> Mechanism:
     """The mechanism of this package's model, in closure form for the integrator."""
@@ -86,7 +76,7 @@ def log_mixture_mechanism(params: ModelParams) -> Mechanism:
     )
 
 
-def geometric_mechanism(m: float, rate: float = 1.0) -> Mechanism:
+def geometric_mechanism(m: float) -> Mechanism:
     """Geometric offspring law h(s) = 1 / (1 + m - m s); limit law is
     F*(s) = 1 - (1 - s)(1 - m s)^(-m)."""
     if not 0.0 < m < 1.0:
@@ -98,10 +88,10 @@ def geometric_mechanism(m: float, rate: float = 1.0) -> Mechanism:
     def limit(s: float) -> float:
         return 1.0 - (1.0 - s) * math.exp(-m * math.log1p(-m * s))
 
-    return Mechanism("geometric", rate, m, phi, limit)
+    return Mechanism("geometric", 1.0, m, phi, limit)
 
 
-def binary_mechanism(m: float, rate: float = 1.0) -> Mechanism:
+def binary_mechanism(m: float) -> Mechanism:
     """Binary splitting h(s) = 1 + (m/2)(s^2 - 1); limit law is geometric on
     {1, 2, ...} with parameter rho = m / (2 - m), pgf (1-rho) s / (1 - rho s)."""
     if not 0.0 < m < 1.0:
@@ -114,10 +104,10 @@ def binary_mechanism(m: float, rate: float = 1.0) -> Mechanism:
     def limit(s: float) -> float:
         return (1.0 - rho) * s / (1.0 - rho * s)
 
-    return Mechanism("binary", rate, m, phi, limit)
+    return Mechanism("binary", 1.0, m, phi, limit)
 
 
-def linear_mechanism(m: float, rate: float = 1.0) -> Mechanism:
+def linear_mechanism(m: float) -> Mechanism:
     """Pure death-or-survive h(s) = 1 - m + m s; the conditional limit is
     degenerate at 1, F*(s) = s."""
     if not 0.0 < m < 1.0:
@@ -129,7 +119,7 @@ def linear_mechanism(m: float, rate: float = 1.0) -> Mechanism:
     def limit(s: float) -> float:
         return s
 
-    return Mechanism("linear", rate, m, phi, limit)
+    return Mechanism("linear", 1.0, m, phi, limit)
 
 
 def standard_mechanisms() -> tuple:
@@ -179,24 +169,23 @@ def _rk4(field: Callable, x0: float, t_end: float, step: float) -> OdeSolution:
     steps = [step] * n_full
     if remainder > 1e-12 * max(1.0, t_end):
         steps.append(remainder)
+    # k * step rather than a running sum of the steps, which drifts off the
+    # grid over long horizons; the last time is t_end itself
+    times = np.append(np.arange(len(steps)) * step, t_end)
     values = [x0]
-    times = [0.0]
     x = x0
-    t = 0.0
     for h in steps:
         k1 = field(x)
         k2 = field(x + 0.5 * h * k1)
         k3 = field(x + 0.5 * h * k2)
         k4 = field(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
         if not -1e-9 <= x <= 1.0 + 1e-9:
             raise NumericalDivergence(
-                f"trajectory left [0, 1] at t={t:.6g} (value {x!r})"
+                f"trajectory left [0, 1] at t={times[len(values)]:.6g} (value {x!r})"
             )
         values.append(x)
-        times.append(t)
-    return OdeSolution(np.array(times), np.array(values))
+    return OdeSolution(times, np.array(values))
 
 
 def integrate_backward(mech: Mechanism, s0: float, t_end: float,
@@ -225,16 +214,6 @@ def integrate_complement(mech: Mechanism, g0: float, t_end: float,
     return _rk4(mech.complement_drift, g0, t_end, step)
 
 
-def convergence_order(mech: Mechanism, reference: float, s0: float,
-                      t_end: float, step: float) -> float:
-    """Observed order: log2 of the endpoint-error ratio between step and step/2."""
-    e_coarse = abs(integrate_backward(mech, s0, t_end, step).final - reference)
-    e_fine = abs(integrate_backward(mech, s0, t_end, 0.5 * step).final - reference)
-    if e_fine == 0.0:
-        raise PrecisionLoss("fine-step error hit machine zero; use a coarser step")
-    return math.log2(e_coarse / e_fine)
-
-
 def check_implicit_solution(params: ModelParams, tp, s: float) -> float:
     """Residual of the implicit one-parameter solution identity.
 
@@ -254,17 +233,19 @@ def check_implicit_solution(params: ModelParams, tp, s: float) -> float:
 
 
 _LIMIT_MEAN_TARGET = 1e-3
+_TABLE1_S_GRID = np.linspace(0.0, 1.0, 6)
 
 
-def numeric_conditional_limit(mech: Mechanism, s_grid) -> np.ndarray:
-    """Conditional generating function 1 - G(t, s)/G(t, 0) at the time where
-    the mean decays to 1e-3, by complement integration with the largest step
-    of at most 0.01 that divides that time evenly.
+def numeric_conditional_limit(mech: Mechanism) -> np.ndarray:
+    """Conditional generating function 1 - G(t, s)/G(t, 0) on Table 1's grid
+    s = 0, 0.2, ..., 1, at the time where the mean decays to 1e-3, by
+    complement integration with the largest step of at most 0.01 that
+    divides that time evenly.
 
     Raises PrecisionLoss when survival falls below 1e-12, past which the
     conditional ratio cannot be trusted at the advertised accuracy.
     """
-    t_big = mech.time_to_mean(_LIMIT_MEAN_TARGET)
+    t_big = math.log(_LIMIT_MEAN_TARGET) / (mech.rate * (mech.mean - 1.0))
     step = t_big / math.ceil(t_big / 0.01)
     survival = integrate_complement(mech, 1.0, t_big, step).final
     if survival < 1e-12:
@@ -273,9 +254,7 @@ def numeric_conditional_limit(mech: Mechanism, s_grid) -> np.ndarray:
             "is below 1e-12"
         )
     ratios = []
-    for s in s_grid:
-        if not 0.0 <= s <= 1.0:
-            raise DomainError(f"grid points must lie in [0, 1], got {s!r}")
+    for s in _TABLE1_S_GRID:
         g0 = 1.0 - s
         # g0 == 1.0 starts where the survival solve did, so it ends there too
         g_end = survival if g0 == 1.0 else integrate_complement(mech, g0, t_big, step).final
@@ -429,10 +408,14 @@ def ode_suite() -> list:
                     worst = max(worst, abs(path.value_at(t) - exact))
     results.append(_result("rk4_vs_closed_form", worst, 1e-8))
 
+    # observed order: log2 of the endpoint-error ratio between step and step/2
     params = ModelParams(0.5, 1.0)
     mech = log_mixture_mechanism(params)
     reference = closed_form.pgf_at(params, params.at(2.0), 0.2)
-    order = convergence_order(mech, reference, 0.2, 2.0, 0.05)
+    coarse = 0.05
+    e_coarse = abs(integrate_backward(mech, 0.2, 2.0, coarse).final - reference)
+    e_fine = abs(integrate_backward(mech, 0.2, 2.0, 0.5 * coarse).final - reference)
+    order = math.log2(e_coarse / e_fine)
     results.append(_result("rk4_convergence_order", abs(order - 4.0), 0.3))
     return results
 
@@ -441,10 +424,9 @@ def table1_suite() -> list:
     """Numeric conditional limits at mean target 1e-3 versus each mechanism's
     closed-form limit law."""
     results = []
-    s_grid = np.linspace(0.0, 1.0, 6)
     for mech in standard_mechanisms():
-        ratios = numeric_conditional_limit(mech, s_grid)
-        exact = np.array([mech.limit_pgf(float(s)) for s in s_grid])
+        ratios = numeric_conditional_limit(mech)
+        exact = np.array([mech.limit_pgf(float(s)) for s in _TABLE1_S_GRID])
         worst = float(np.max(np.abs(ratios - exact)))
         results.append(_result(f"limit_law_{mech.name}", worst, 1e-4))
     return results

@@ -171,6 +171,13 @@ class TestSimulateCommand:
         assert result.exit_code == 2
         assert "t=2100.0" in result.output
 
+    def test_rejects_zero_workers(self, runner):
+        result = runner.invoke(cli, ["simulate", "--alpha", "0.5", "--k", "1",
+                                     "--times", "1", "--replicates", "10",
+                                     "--workers", "0"])
+        assert result.exit_code == 2
+        assert "workers must be positive" in result.output
+
     def test_rejects_malformed_times(self, runner):
         result = runner.invoke(cli, ["simulate", "--alpha", "0.5", "--k", "1",
                                      "--times", "1;2", "--replicates", "10"])
@@ -231,6 +238,44 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self, runner):
         result = runner.invoke(cli, ["verify", "--suite", "nope"])
         assert result.exit_code == 2
+
+
+# the exact CSV bytes, so that a change to any digit or to the layout fails
+_PINNED_TEXT = {
+    "pmf": (
+        ["pmf", "--alpha", "0.5", "--k", "1", "--t", "1", "--nmax", "5"],
+        b"n,probability\r\n0,0.3786377957\r\n1,0.5652120673\r\n"
+        b"2,0.04278564663\r\n3,0.009290144307\r\n4,0.002674160586\r\n"
+        b"5,0.0008832200421\r\ntail,0.0005169655238\r\n",
+    ),
+    "pmf-conditional": (
+        ["pmf", "--alpha", "0.5", "--k", "1", "--t", "1", "--nmax", "5",
+         "--conditional"],
+        b"n,probability\r\n1,0.9096338067\r\n2,0.06885781969\r\n"
+        b"3,0.01495125426\r\n4,0.004303706545\r\n5,0.001421425436\r\n"
+        b"tail,0.0008319873983\r\n",
+    ),
+    "pmf-conditional-unit-atom": (
+        ["pmf", "--alpha", "0.5", "--k", "1", "--t", "1e-18", "--nmax", "3",
+         "--conditional"],
+        b"n,probability\r\n1,1\r\n2,0\r\n3,0\r\ntail,0\r\n",
+    ),
+    "limit": (
+        ["limit", "--alpha", "0.5", "--nmax", "5"],
+        b"n,probability,factorial_moment\r\n1,0.7213475204,1.442695041\r\n"
+        b"2,0.1803368801,1.442695041\r\n3,0.06011229337,2.885390082\r\n"
+        b"4,0.02254211001,8.656170245\r\n5,0.009016844006,34.62468098\r\n"
+        b"tail,0.006644352055,\r\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_TEXT)
+def test_pinned_text(runner, name):
+    args, expected = _PINNED_TEXT[name]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == expected
 
 
 def test_runs_as_module():

@@ -147,7 +147,17 @@ class TestExtendedSibuya:
             assert law.pmf(n) == pytest.approx(
                 pmf(params_half, tp, n) / survival, rel=1e-12)
 
-    @pytest.mark.parametrize("gamma,b", [(0.5, 0.0), (0.5, 1.0), (0.0, 0.5), (1.0, 0.5)])
+    @pytest.mark.parametrize("b", [0.5, 0.01, 0.75, 1e-310])
+    def test_gamma_one_is_unit_atom(self, b):
+        # the point mass at 1, exactly, down to a subnormal b
+        law = ExtendedSibuya(1.0, b)
+        assert [law.pmf(n) for n in (1, 2, 3)] == [1.0, 0.0, 0.0]
+        assert [law.factorial_moment(n) for n in (1, 2, 3)] == [1.0, 0.0, 0.0]
+        for s in (-1.0, 0.0, 0.3, 1.0):
+            assert law.pgf(s) == s
+
+    @pytest.mark.parametrize("gamma,b", [(0.5, 0.0), (0.5, 1.0), (0.0, 0.5), (1.5, 0.5),
+                                         (math.nextafter(1.0, 2.0), 0.5)])
     def test_rejects_bad_params(self, gamma, b):
         with pytest.raises(DomainError):
             ExtendedSibuya(gamma, b)
