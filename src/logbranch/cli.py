@@ -5,10 +5,13 @@ long-time conditional law), ``simulate`` (Monte Carlo with closed-form
 columns alongside), and ``verify`` (numerical cross-check suites).
 
 Output is CSV by default (RFC 4180, floats at 10 significant digits) or JSON
-with ``--format json`` (``json.dumps``, which writes each float as the
-shortest repr that round-trips exactly).  Exit codes: 0 success, 1 a
-verification check failed, 2 usage or domain error, 3 population cap
-exceeded.
+with ``--format json``, byte for byte what ``json.dumps(record, indent=2)``
+writes (each float as the shortest repr that round-trips exactly).  Both are
+written a column at a time: CPython skips its C JSON encoder whenever
+``indent`` is set, and a Python call per cell cost more than the tables
+themselves, so each column of one type becomes text in one ``map``.  Exit
+codes: 0 success, 1 a verification check failed, 2 usage or domain error,
+3 population cap exceeded.
 """
 
 import csv
@@ -16,6 +19,8 @@ import io
 import json
 import math
 import sys
+from functools import partial
+from itertools import repeat
 
 import click
 
@@ -34,7 +39,9 @@ from .verify import run_suite
 SCHEMA_VERSION = "2"
 
 
-def _csv_cell(value) -> str:
+def _csv_text(value) -> str:
+    """One CSV cell: bools as true/false, floats at 10 significant digits,
+    None empty."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -44,20 +51,69 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _render_csv(columns, rows) -> str:
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at ``indent``, with
+    string keys; a list of equal-length lists is written column by column."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{json.dumps(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if (set(map(type, value)) <= {list, tuple}
+                and len(set(map(len, value))) == 1 and value[0]):
+            cell = "\n" + inner + "  %s"
+            row = "\n" + inner + "[" + ",".join([cell] * len(value[0])) + "\n" + inner + "]"
+            cells = _cells(value, "json", inner + "  ")
+            return "[" + ",".join(map(row.__mod__, cells)) + "\n" + indent + "]"
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _column_text(column, fmt: str, indent: str):
+    """The cells of one column as text: one ``map`` over plain ints or plain
+    floats (in JSON only finite ones, and a sum is finite only if every term
+    is), a conversion per cell in any other column."""
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    if kinds == {float}:
+        if fmt == "csv":
+            return map(format, column, repeat(".10g"))
+        if math.isfinite(sum(column)):
+            return map(float.__repr__, column)
+    if fmt == "csv":
+        return map(_csv_text, column)
+    return map(_json_text, column, repeat(indent))
+
+
+def _cells(rows, fmt: str, indent: str = ""):
+    """The rows of a table of equal-length rows as tuples of cell text,
+    converted column by column."""
+    columns = [_column_text(column, fmt, indent) for column in zip(*rows)]
+    return zip(*columns) if columns else [()] * len(rows)
+
+
+def _render(record, fmt, columns, *tables) -> str:
+    """A command's output: ``record`` as JSON, or the header ``columns`` and
+    then the rows of each table as CSV."""
+    if fmt == "json":
+        return _json_text(record) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    for rows in tables:
+        writer.writerows(_cells(rows, "csv"))
     return buf.getvalue()
-
-
-def _emit(record, columns, rows, fmt) -> None:
-    if fmt == "json":
-        click.echo(json.dumps(record, indent=2))
-    else:
-        click.echo(_render_csv(columns, rows), nl=False)
 
 
 def _make_params(alpha: float, rate: float) -> ModelParams:
@@ -96,14 +152,13 @@ def pmf(alpha, rate, time_, nmax, conditional, fmt):
             raise DomainError(f"nmax must be at least {start}, got {nmax!r}")
         if conditional:
             term = closed_form.conditional_family(params, tp).pmf
-            values = [term(n) for n in range(start, nmax + 1)]
         else:
-            values = [closed_form.pmf(params, tp, n)
-                      for n in range(start, nmax + 1)]
+            term = partial(closed_form.pmf, params, tp)
+        values = list(map(term, range(start, nmax + 1)))
     except DomainError as exc:
         raise click.UsageError(str(exc))
     tail = max(0.0, 1.0 - math.fsum(values))
-    rows = [[n, p] for n, p in zip(range(start, nmax + 1), values)]
+    rows = list(zip(range(start, nmax + 1), values))
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "pmf",
@@ -113,7 +168,8 @@ def pmf(alpha, rate, time_, nmax, conditional, fmt):
         "rows": rows,
         "tail_mass": tail,
     }
-    _emit(record, ["n", "probability"], rows + [["tail", tail]], fmt)
+    click.echo(_render(record, fmt, record["columns"], rows, [["tail", tail]]),
+               nl=False)
 
 
 @cli.command()
@@ -126,16 +182,19 @@ def limit(alpha, nmax, fmt):
     law = LogSeries(_make_params(alpha, 1.0).alpha)
     if nmax < 1:
         raise click.UsageError(f"nmax must be at least 1, got {nmax!r}")
-    rows = []
-    values = []
-    for n in range(1, nmax + 1):
-        p = law.pmf(n)
-        values.append(p)
+    sizes = range(1, nmax + 1)
+    values = list(map(law.pmf, sizes))
+    moments = []
+    for n in sizes:
         try:
-            moment = law.factorial_moment(n)
+            moments.append(law.factorial_moment(n))
         except OverflowError:
-            moment = None
-        rows.append([n, p, moment])
+            # log E[[N]_n] stays below log 4.4 while n <= (1 - alpha)/alpha
+            # and rises by log(n alpha/(1 - alpha)) > 0 a step after that, so
+            # once a moment overflows every later one does too
+            break
+    moments += [None] * (nmax - len(moments))
+    rows = list(zip(sizes, values, moments))
     tail = max(0.0, 1.0 - math.fsum(values))
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -145,8 +204,8 @@ def limit(alpha, nmax, fmt):
         "rows": rows,
         "tail_mass": tail,
     }
-    _emit(record, ["n", "probability", "factorial_moment"],
-          rows + [["tail", tail, None]], fmt)
+    click.echo(_render(record, fmt, record["columns"], rows, [["tail", tail, None]]),
+               nl=False)
 
 
 @cli.command()
@@ -212,7 +271,7 @@ def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt)
                    "max_population": max_population},
         "horizons": horizon_blocks,
     }
-    _emit(record, columns, rows, fmt)
+    click.echo(_render(record, fmt, columns, rows), nl=False)
 
 
 @cli.command()
@@ -236,7 +295,7 @@ def verify(suite, fmt):
         "columns": columns,
         "rows": rows,
     }
-    _emit(record, columns, rows, fmt)
+    click.echo(_render(record, fmt, columns, rows), nl=False)
     if not all(r.passed for r in results):
         sys.exit(1)
 

@@ -25,8 +25,11 @@ n >= 1 it telescopes to the gamma ratio
     |[M]_n| = M * Gamma(n - M) / Gamma(1 - M),    sign (-1)^(n-1),
 
 so each term costs O(1) through ``lgamma`` and a table up to n costs O(n).
-All spectrum-spanning products are assembled in log space so that nothing
-overflows before the caller asks for an ordinary float.
+The constants of a term are computed once: log alpha and the log-odds on
+``ModelParams``, log M and lgamma(1 - M) on the ``TimePoint``, and those of
+each family when it is built.  All spectrum-spanning products are assembled
+in log space so that nothing overflows before the caller asks for an
+ordinary float.
 """
 
 import math
@@ -86,13 +89,11 @@ def pmf(params: ModelParams, tp: TimePoint, n: int) -> float:
         return float(n == 1)
     if n == 0:
         return extinction_prob(params, tp)
-    a = params.alpha
     log_p = (
-        math.log1p(-a)
-        - math.log(a)
-        + n * math.log(a)
+        -params.log_odds
+        + n * params.log_alpha
         + tp.mean * params.log_norm
-        + _log_falling_mean(tp.mean, n)
+        + _log_falling_mean(tp.mean, tp.log_mean, tp.lgamma_gap, n)
         - math.lgamma(n + 1.0)
     )
     return math.exp(log_p)
@@ -104,10 +105,10 @@ def factorial_moment(params: ModelParams, tp: TimePoint, n: int) -> float:
         raise DomainError(f"moment order must be positive, got {n!r}")
     if tp.mean == 1.0:
         return float(n == 1)
-    a = params.alpha
-    log_odds = math.log(a) - math.log1p(-a)
     return math.exp(
-        math.log1p(-a) - math.log(a) + n * log_odds + _log_falling_mean(tp.mean, n)
+        -params.log_odds
+        + n * params.log_odds
+        + _log_falling_mean(tp.mean, tp.log_mean, tp.lgamma_gap, n)
     )
 
 

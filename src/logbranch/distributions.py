@@ -11,7 +11,10 @@ Every term costs O(1).  The ExtendedSibuya terms carry the falling factorial
 |[gamma]_n| = gamma (1 - gamma) ... (n - 1 - gamma), which for 0 < gamma < 1
 telescopes to gamma Gamma(n - gamma) / Gamma(1 - gamma) and is assembled in
 log space through ``lgamma``.  At gamma = 1 the factorial is 0 for every
-n >= 2, and the family is exactly the unit atom at 1.
+n >= 2, and the family is exactly the unit atom at 1.  Each law computes the
+constants of its terms (the logs of its parameters, lgamma(1 - gamma), the
+log-odds, the log normaliser) once, when it is built, so a term costs one
+or two ``lgamma`` calls and an ``exp``.
 
 Sampling is exact: a prefix of the CDF is tabulated from the pmf and inverted
 by bisection; draws falling past the table run rejection under a certified
@@ -28,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams, offspring_pmf
+from .model import ModelParams, _lgamma_gap, offspring_pmf
 
 
 def streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
@@ -72,14 +75,15 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return next(streams(seed, index, index + 1))
 
 
-def _log_falling_mean(m: float, n: int) -> float:
-    """log |[m]_n| for 0 < m < 1 and n >= 1, in O(1) work.
+def _log_falling_mean(m: float, log_m: float, gap: float, n: int) -> float:
+    """log |[m]_n| for 0 < m < 1 and n >= 1, in O(1) work, given
+    log_m = log m and gap = lgamma(1 - m).
 
     |[m]_n| = m (1 - m) (2 - m) ... (n - 1 - m) telescopes to
     m Gamma(n - m) / Gamma(1 - m), so the log is
     log m + lgamma(n - m) - lgamma(1 - m).
     """
-    return math.log(m) + math.lgamma(n - m) - math.lgamma(1.0 - m)
+    return log_m + math.lgamma(n - m) - gap
 
 
 @dataclass(frozen=True)
@@ -89,13 +93,18 @@ class ExtendedSibuya:
 
     P(N = n) = b^n |[gamma]_n| / (n! (1 - (1 - b)^gamma)).  ``log_norm`` is
     log(1 - (1 - b)^gamma), taken through expm1 so it keeps full precision
-    however small gamma gets.  At gamma = 1 the law is the unit atom at 1,
-    whose pmf, factorial moments and pgf are returned exactly.
+    however small gamma gets; ``log_b``, ``log_gamma`` and ``lgamma_gap`` =
+    lgamma(1 - gamma) are the other constants of a term.  At gamma = 1 the
+    law is the unit atom at 1, whose pmf, factorial moments and pgf are
+    returned exactly.
     """
 
     gamma: float
     b: float
     log_norm: float = field(init=False, repr=False, compare=False)
+    log_b: float = field(init=False, repr=False, compare=False)
+    log_gamma: float = field(init=False, repr=False, compare=False)
+    lgamma_gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
@@ -105,6 +114,9 @@ class ExtendedSibuya:
         object.__setattr__(
             self, "log_norm", math.log(-math.expm1(self.gamma * math.log1p(-self.b)))
         )
+        object.__setattr__(self, "log_b", math.log(self.b))
+        object.__setattr__(self, "log_gamma", math.log(self.gamma))
+        object.__setattr__(self, "lgamma_gap", _lgamma_gap(self.gamma))
 
     def pmf(self, n: int) -> float:
         if n < 1:
@@ -112,8 +124,8 @@ class ExtendedSibuya:
         if self.gamma == 1.0:
             return float(n == 1)
         return math.exp(
-            n * math.log(self.b)
-            + _log_falling_mean(self.gamma, n)
+            n * self.log_b
+            + _log_falling_mean(self.gamma, self.log_gamma, self.lgamma_gap, n)
             - math.lgamma(n + 1.0)
             - self.log_norm
         )
@@ -125,11 +137,10 @@ class ExtendedSibuya:
             raise DomainError(f"moment order must be positive, got {n!r}")
         if self.gamma == 1.0:
             return float(n == 1)
-        log_odds = math.log(self.b) - math.log1p(-self.b)
         return math.exp(
-            n * log_odds
+            n * (self.log_b - math.log1p(-self.b))
             + self.gamma * math.log1p(-self.b)
-            + _log_falling_mean(self.gamma, n)
+            + _log_falling_mean(self.gamma, self.log_gamma, self.lgamma_gap, n)
             - self.log_norm
         )
 
@@ -147,15 +158,25 @@ class ExtendedSibuya:
 @dataclass(frozen=True)
 class LogSeries:
     """Logarithmic series law on {1, 2, ...}: P(N = n) = alpha^n / (A n),
-    A = -log(1 - alpha)."""
+    A = -log(1 - alpha).
+
+    ``log_norm`` is A; ``log_log_norm`` = log A and ``log_odds`` =
+    log(alpha / (1 - alpha)) are the constants of a factorial moment.
+    """
 
     alpha: float
     log_norm: float = field(init=False, repr=False, compare=False)
+    log_log_norm: float = field(init=False, repr=False, compare=False)
+    log_odds: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         object.__setattr__(self, "log_norm", -math.log1p(-self.alpha))
+        object.__setattr__(self, "log_log_norm", math.log(self.log_norm))
+        object.__setattr__(
+            self, "log_odds", math.log(self.alpha) - math.log1p(-self.alpha)
+        )
 
     def pmf(self, n: int) -> float:
         if n < 1:
@@ -167,8 +188,7 @@ class LogSeries:
         exceeds float range (the moments grow like (n-1)!)."""
         if n < 1:
             raise DomainError(f"moment order must be positive, got {n!r}")
-        log_odds = math.log(self.alpha) - math.log1p(-self.alpha)
-        return math.exp(math.lgamma(n) - math.log(self.log_norm) + n * log_odds)
+        return math.exp(math.lgamma(n) - self.log_log_norm + n * self.log_odds)
 
     def pgf(self, s: float) -> float:
         """-log(1 - alpha s) / A."""

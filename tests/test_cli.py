@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
-from logbranch import ModelParams, conditional_pmf, limit_law_pmf, pmf
-from logbranch.cli import cli
+from logbranch import ALPHA_CRITICAL, LogSeries, ModelParams, conditional_family, pmf
+from logbranch.cli import _render, cli
 from logbranch.verify import CheckResult
 
 
@@ -56,7 +59,7 @@ class TestPmfCommand:
         assert rows[0][0] == "1"
         tp = params_half.at(1.0)
         assert float(rows[0][1]) == pytest.approx(
-            conditional_pmf(params_half, tp, 1), rel=1e-9)
+            conditional_family(params_half, tp).pmf(1), rel=1e-9)
 
     def test_time_zero_is_degenerate(self, runner):
         result = runner.invoke(cli, ["pmf", "--alpha", "0.5", "--k", "1",
@@ -103,9 +106,10 @@ class TestLimitCommand:
         assert result.exit_code == 0
         header, rows = _rows(result.output)
         assert header == ["n", "probability", "factorial_moment"]
+        law = LogSeries(params_half.alpha)
         for row in rows[:-1]:
             n = int(row[0])
-            assert float(row[1]) == pytest.approx(limit_law_pmf(params_half, n), rel=1e-9)
+            assert float(row[1]) == pytest.approx(law.pmf(n), rel=1e-9)
         # first factorial moment is (alpha/(1-alpha))/A
         expected = 1.0 / params_half.log_norm
         assert float(rows[0][2]) == pytest.approx(expected, rel=1e-9)
@@ -119,6 +123,26 @@ class TestLimitCommand:
             cli, ["limit", "--alpha", "0.5", "--nmax", "200", "--format", "json"]
         ).output)
         assert record["rows"][198][2] is None
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.77,
+                                       math.nextafter(ALPHA_CRITICAL, 0.0)])
+    def test_rows_past_overflow_match_each_row_tried(self, runner, alpha):
+        # the table stops calling factorial_moment at its first overflow;
+        # every row must still be what a try per row gives
+        nmax = 400
+        law = LogSeries(alpha)
+        expected = []
+        for n in range(1, nmax + 1):
+            try:
+                moment = law.factorial_moment(n)
+            except OverflowError:
+                moment = None
+            expected.append([n, law.pmf(n), moment])
+        assert expected[0][2] is not None and expected[-1][2] is None
+        result = runner.invoke(cli, ["limit", "--alpha", repr(alpha), "--nmax",
+                                     str(nmax), "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["rows"] == expected
 
     def test_rejects_bad_nmax(self, runner):
         result = runner.invoke(cli, ["limit", "--alpha", "0.5", "--nmax", "0"])
@@ -240,7 +264,8 @@ class TestVerifyCommand:
         assert result.exit_code == 2
 
 
-# the exact CSV bytes, so that a change to any digit or to the layout fails
+# the exact CSV and JSON bytes, so that a change to any digit or to the
+# layout fails; a long output is pinned by the sha256 of its bytes
 _PINNED_TEXT = {
     "pmf": (
         ["pmf", "--alpha", "0.5", "--k", "1", "--t", "1", "--nmax", "5"],
@@ -267,6 +292,64 @@ _PINNED_TEXT = {
         b"4,0.02254211001,8.656170245\r\n5,0.009016844006,34.62468098\r\n"
         b"tail,0.006644352055,\r\n",
     ),
+    "pmf-json": (
+        ["pmf", "--alpha", "0.5", "--k", "1", "--t", "1", "--nmax", "5",
+         "--format", "json"],
+        b'{\n  "schema_version": "2",\n  "command": "pmf",\n  "params": {\n'
+        b'    "alpha": 0.5,\n    "k": 1.0,\n    "t": 1.0,\n    "nmax": 5,\n'
+        b'    "conditional": false\n  },\n  "columns": [\n    "n",\n'
+        b'    "probability"\n  ],\n  "rows": [\n'
+        b'    [\n      0,\n      0.3786377956594842\n    ],\n'
+        b'    [\n      1,\n      0.5652120672506877\n    ],\n'
+        b'    [\n      2,\n      0.0427856466314245\n    ],\n'
+        b'    [\n      3,\n      0.0092901443066996\n    ],\n'
+        b'    [\n      4,\n      0.0026741605858567733\n    ],\n'
+        b'    [\n      5,\n      0.0008832200420646228\n    ]\n  ],\n'
+        b'  "tail_mass": 0.0005169655237825532\n}\n',
+    ),
+    "pmf-conditional-json": (
+        ["pmf", "--alpha", "0.5", "--k", "1", "--t", "1", "--nmax", "5",
+         "--conditional", "--format", "json"],
+        b'{\n  "schema_version": "2",\n  "command": "pmf",\n  "params": {\n'
+        b'    "alpha": 0.5,\n    "k": 1.0,\n    "t": 1.0,\n    "nmax": 5,\n'
+        b'    "conditional": true\n  },\n  "columns": [\n    "n",\n'
+        b'    "probability"\n  ],\n  "rows": [\n'
+        b'    [\n      1,\n      0.9096338066628576\n    ],\n'
+        b'    [\n      2,\n      0.06885781969444882\n    ],\n'
+        b'    [\n      3,\n      0.014951254263299962\n    ],\n'
+        b'    [\n      4,\n      0.004303706545355458\n    ],\n'
+        b'    [\n      5,\n      0.0014214254357521317\n    ]\n  ],\n'
+        b'  "tail_mass": 0.0008319873982859383\n}\n',
+    ),
+    "pmf-conditional-unit-atom-json": (
+        ["pmf", "--alpha", "0.5", "--k", "1", "--t", "1e-18", "--nmax", "3",
+         "--conditional", "--format", "json"],
+        b'{\n  "schema_version": "2",\n  "command": "pmf",\n  "params": {\n'
+        b'    "alpha": 0.5,\n    "k": 1.0,\n    "t": 1e-18,\n    "nmax": 3,\n'
+        b'    "conditional": true\n  },\n  "columns": [\n    "n",\n'
+        b'    "probability"\n  ],\n  "rows": [\n'
+        b'    [\n      1,\n      1.0\n    ],\n'
+        b'    [\n      2,\n      0.0\n    ],\n'
+        b'    [\n      3,\n      0.0\n    ]\n  ],\n'
+        b'  "tail_mass": 0.0\n}\n',
+    ),
+    "limit-json": (
+        ["limit", "--alpha", "0.5", "--nmax", "5", "--format", "json"],
+        b'{\n  "schema_version": "2",\n  "command": "limit",\n  "params": {\n'
+        b'    "alpha": 0.5,\n    "nmax": 5\n  },\n  "columns": [\n    "n",\n'
+        b'    "probability",\n    "factorial_moment"\n  ],\n  "rows": [\n'
+        b'    [\n      1,\n      0.7213475204444817,\n      1.4426950408889634\n    ],\n'
+        b'    [\n      2,\n      0.18033688011112042,\n      1.4426950408889634\n    ],\n'
+        b'    [\n      3,\n      0.06011229337037348,\n      2.885390081777926\n    ],\n'
+        b'    [\n      4,\n      0.022542110013890053,\n      8.656170245333785\n    ],\n'
+        b'    [\n      5,\n      0.00901684400555602,\n      34.624680981335096\n    ]\n'
+        b'  ],\n  "tail_mass": 0.006644352054578362\n}\n',
+    ),
+    # 140 rows; the moments of the last two are past float range
+    "limit-overflow-json": (
+        ["limit", "--alpha", "0.77", "--nmax", "140", "--format", "json"],
+        "97b8b99d078d92ce8ce7873edf48037329b77112e448c9c247270febdf0cb0b3",
+    ),
 }
 
 
@@ -275,7 +358,73 @@ def test_pinned_text(runner, name):
     args, expected = _PINNED_TEXT[name]
     result = runner.invoke(cli, args)
     assert result.exit_code == 0
-    assert result.stdout_bytes == expected
+    got = result.stdout_bytes
+    if isinstance(expected, str):
+        got = hashlib.sha256(got).hexdigest()
+    assert got == expected
+
+
+@pytest.mark.parametrize("args", [
+    ["pmf", "--alpha", "0.5", "--k", "1", "--t", "1", "--nmax", "50"],
+    ["limit", "--alpha", "0.5", "--nmax", "200"],
+    ["simulate", "--alpha", "0.5", "--k", "1", "--times", "0.5,1",
+     "--replicates", "2000", "--seed", "42"],
+    ["verify", "--suite", "all"],
+])
+def test_json_is_indent_2_dumps(runner, args):
+    out = runner.invoke(cli, args + ["--format", "json"]).output
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+_CSV_CELL_RULES = {bool: lambda v: "true" if v else "false",
+                   float: lambda v: format(v, ".10g"),
+                   type(None): lambda v: ""}
+
+
+def _csv_reference(columns, *tables):
+    """The CSV cell rules applied one cell at a time, through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for rows in tables:
+        for row in rows:
+            writer.writerow([_CSV_CELL_RULES.get(type(v), str)(v) for v in row])
+    return buf.getvalue()
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308])
+_SCALAR_KINDS = (
+    st.integers(min_value=-2**70, max_value=2**70), st.floats(), _EDGE_FLOATS,
+    st.none(), st.booleans(),
+    st.text(st.sampled_from(["a", " ", ",", '"', "\n", "\r", "\\", "é", "→", "\U0001f600"]),
+            max_size=4),
+)
+_SCALARS = st.one_of(*_SCALAR_KINDS)
+# a column of one kind of scalar, of finite floats, of any floats, or of anything
+_COLUMN_KINDS = st.sampled_from([
+    *_SCALAR_KINDS,
+    st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS.filter(math.isfinite),
+    st.floats() | _EDGE_FLOATS,
+    _SCALARS,
+])
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(_COLUMN_KINDS, max_size=4))
+    return draw(st.lists(st.tuples(*kinds).map(list), max_size=6))
+
+
+@given(rows=_tables(), footer=_tables(), scalar=_SCALARS)
+def test_writer_matches_stdlib(rows, footer, scalar):
+    columns = ["c%d" % i for i in range(len(rows[0]) if rows else 2)]
+    record = {"command": "x", "params": {"a": scalar, "times": [scalar, 1.0]},
+              "columns": columns, "rows": rows, "empty": {}, "none": [],
+              "ragged": [[scalar], [1, scalar], []],
+              "blocks": [{"rows": footer}, {"rows": rows, "mean": scalar}]}
+    assert _render(record, "json", columns) == json.dumps(record, indent=2) + "\n"
+    assert _render(record, "csv", columns, rows, footer) == _csv_reference(
+        columns, rows, footer)
 
 
 def test_runs_as_module():

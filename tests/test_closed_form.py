@@ -14,13 +14,10 @@ from logbranch import (
     PrecisionLoss,
     conditional_family,
     conditional_law_at,
-    conditional_pmf,
     extinction_prob,
     factorial_moment,
     law_at,
     limit_law,
-    limit_law_factorial_moment,
-    limit_law_pmf,
     pgf_at,
     pgf_complement,
     pmf,
@@ -259,7 +256,9 @@ def _check_term(term, ref, n):
         assert abs(value - ref) <= MIN_NORMAL, (n, value, ref)
 
 
-TERMS = (pmf, conditional_pmf, factorial_moment,
+TERMS = (pmf,
+         lambda p, tp, n: conditional_family(p, tp).pmf(n),
+         factorial_moment,
          lambda p, tp, n: conditional_family(p, tp).factorial_moment(n))
 
 
@@ -302,7 +301,7 @@ class TestTermPrecision:
             log_p = (1 - m) * mp.log1p(-a) + n * mp.log(a) + log_ff - mp.loggamma(n + 1)
             p = mp.exp(log_p)
             c = p / (1 - (1 - a) ** m)
-            assert abs(_log_falling_mean(tp.mean, n) - log_ff) <= _term_rel_bound(n)
+            assert abs(_log_falling_mean(tp.mean, tp.log_mean, tp.lgamma_gap, n) - log_ff) <= _term_rel_bound(n)
         _check_terms(params, tp, n, (p, c, mp.inf, mp.inf))
 
     # at 0.06 and 0.25 the general log-space assembly misses 1.0 by an ulp;
@@ -316,11 +315,11 @@ class TestTermPrecision:
         assert survival_prob(params, tp) == 1.0
         assert extinction_prob(params, tp) == 0.0 == pmf(params, tp, 0)
         assert pmf(params, tp, 1) == 1.0
-        assert conditional_pmf(params, tp, 1) == 1.0
+        assert conditional_family(params, tp).pmf(1) == 1.0
         for n in (0, 2, 3, 1000):
             assert pmf(params, tp, n) == 0.0
         for n in (2, 3, 1000):
-            assert conditional_pmf(params, tp, n) == 0.0
+            assert conditional_family(params, tp).pmf(n) == 0.0
             assert factorial_moment(params, tp, n) == 0.0
             assert conditional_family(params, tp).factorial_moment(n) == 0.0
         assert factorial_moment(params, tp, 1) == pytest.approx(1.0, rel=1e-15)
@@ -400,14 +399,14 @@ class TestFactorialMoments:
 class TestConditionalLaw:
     def test_reference_value_and_limit_gap(self, params_half):
         tp = params_half.at(10.0)
-        value = conditional_pmf(params_half, tp, 1)
+        value = conditional_family(params_half, tp).pmf(1)
         assert value == pytest.approx(0.72815385517286032, rel=1e-13)
         # approaches the limit-law mass alpha/A at rate O(M(t))
-        gap_10 = abs(value - limit_law_pmf(params_half, 1))
+        limit = LogSeries(params_half.alpha).pmf(1)
+        gap_10 = abs(value - limit)
         assert gap_10 == pytest.approx(0.0068063347, rel=1e-5)
         assert gap_10 < tp.mean
-        gap_16 = abs(conditional_pmf(params_half, params_half.at(16.0), 1)
-                     - limit_law_pmf(params_half, 1))
+        gap_16 = abs(conditional_family(params_half, params_half.at(16.0)).pmf(1) - limit)
         assert gap_16 < 1e-3
 
     @given(alpha=alphas, t=times)
@@ -423,7 +422,7 @@ class TestConditionalLaw:
     def test_conditioning_identity(self, alpha, t, n):
         params = ModelParams(alpha, 1.0)
         tp = params.at(t)
-        lhs = conditional_pmf(params, tp, n) * survival_prob(params, tp)
+        lhs = conditional_family(params, tp).pmf(n) * survival_prob(params, tp)
         assert lhs == pytest.approx(pmf(params, tp, n), rel=1e-12)
 
     @given(alpha=alphas, t=times, n=st.integers(min_value=1, max_value=12))
@@ -443,8 +442,6 @@ class TestConditionalLaw:
     def test_requires_positive_time(self, params_half):
         tp = params_half.at(0.0)
         with pytest.raises(DomainError):
-            conditional_pmf(params_half, tp, 1)
-        with pytest.raises(DomainError):
             conditional_family(params_half, tp)
 
     def test_pgf_endpoints(self, params_half):
@@ -463,8 +460,9 @@ class TestConditionalLaw:
 
 class TestLimitLaw:
     def test_reference_values(self, params_half):
-        assert limit_law_pmf(params_half, 1) == pytest.approx(0.72134752044448170, rel=1e-14)
-        assert limit_law_factorial_moment(params_half, 1) == pytest.approx(1.4426950408889634, rel=1e-14)
+        law = LogSeries(params_half.alpha)
+        assert law.pmf(1) == pytest.approx(0.72134752044448170, rel=1e-14)
+        assert law.factorial_moment(1) == pytest.approx(1.4426950408889634, rel=1e-14)
 
     @given(alpha=alphas)
     @settings(max_examples=60, deadline=None)
@@ -480,17 +478,15 @@ class TestLimitLaw:
 
     def test_moments_match_series(self):
         # brute-force E[[xi]_n] against the closed form at a light tail
-        params = ModelParams(0.3, 1.0)
+        law = LogSeries(ModelParams(0.3, 1.0).alpha)
         for n in range(1, 5):
             # math.perm(k, n) is exactly the falling factorial [k]_n
-            series = math.fsum(
-                math.perm(k, n) * limit_law_pmf(params, k) for k in range(n, 300)
-            )
-            assert limit_law_factorial_moment(params, n) == pytest.approx(series, rel=1e-8)
+            series = math.fsum(math.perm(k, n) * law.pmf(k) for k in range(n, 300))
+            assert law.factorial_moment(n) == pytest.approx(series, rel=1e-8)
 
     def test_moment_overflow(self, params_half):
         with pytest.raises(OverflowError):
-            limit_law_factorial_moment(params_half, 300)
+            LogSeries(params_half.alpha).factorial_moment(300)
 
     def test_conditional_law_converges(self, params_half):
         # TV to the limit decreases along a doubling time grid and tracks M(t)
@@ -510,6 +506,6 @@ class TestLimitLaw:
         t = math.log(1e-4) / params_half.malthusian_rate
         tp = params_half.at(t)
         for n in range(1, 6):
-            lim = limit_law_factorial_moment(params_half, n)
+            lim = LogSeries(params_half.alpha).factorial_moment(n)
             cond = conditional_family(params_half, tp).factorial_moment(n)
             assert cond == pytest.approx(lim, rel=1e-2)

@@ -11,7 +11,7 @@ from logbranch import (
     ModelParams,
     PopulationCapExceeded,
     SimConfig,
-    conditional_pmf,
+    conditional_family,
     estimate_law,
     extinction_prob,
     factorial_moment,
@@ -210,7 +210,7 @@ class TestEstimateLaw:
         law = laws[1]
         tp = params_half.at(law.time)
         alive = {n: c for n, c in law.counts.items() if n >= 1}
-        assert gof_pvalue(alive, lambda n: conditional_pmf(params_half, tp, n), 1, 26) > 1e-3
+        assert gof_pvalue(alive, conditional_family(params_half, tp).pmf, 1, 26) > 1e-3
 
     def test_branching_composition(self, params_half):
         # X(0.8) must match the sum of X(0.4)-many independent copies run 0.4
