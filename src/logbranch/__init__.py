@@ -56,14 +56,11 @@ from .simulate import (
 from .verify import (
     CheckResult,
     Mechanism,
-    binary_mechanism,
     check_implicit_solution,
     closed_form_suite,
-    geometric_mechanism,
     integrate_backward,
     integrate_complement,
     limit_suite,
-    linear_mechanism,
     log_mixture_mechanism,
     numeric_conditional_limit,
     ode_suite,

@@ -33,8 +33,8 @@ from .errors import (
     PrecisionLoss,
 )
 from .model import ModelParams
-from .simulate import SimConfig, estimate_law
-from .verify import run_suite
+from .simulate import _MAX_POPULATION, SimConfig, estimate_law
+from .verify import _SUITES, run_suite
 
 SCHEMA_VERSION = "2"
 
@@ -218,7 +218,7 @@ def limit(alpha, nmax, fmt):
               show_default=True, show_envvar=True, help="RNG seed")
 @click.option("--workers", type=int, default=1, show_default=True,
               help="parallel worker processes")
-@click.option("--max-population", type=int, default=10_000_000, show_default=True,
+@click.option("--max-population", type=int, default=_MAX_POPULATION, show_default=True,
               help="abort when any replicate exceeds this size")
 @_FORMAT
 def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt):
@@ -275,8 +275,7 @@ def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt)
 
 
 @cli.command()
-@click.option("--suite", type=click.Choice(["closed-form", "ode", "table1",
-                                            "limit", "all"]),
+@click.option("--suite", type=click.Choice([*_SUITES, "all"]),
               default="all", show_default=True, help="which check suite to run")
 @_FORMAT
 def verify(suite, fmt):

@@ -24,6 +24,7 @@ here (both families and the offspring law) admits.
 
 import bisect
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
@@ -96,7 +97,9 @@ class ExtendedSibuya:
     however small gamma gets; ``log_b``, ``log_gamma`` and ``lgamma_gap`` =
     lgamma(1 - gamma) are the other constants of a term.  At gamma = 1 the
     law is the unit atom at 1, whose pmf, factorial moments and pgf are
-    returned exactly.
+    returned exactly.  Below gamma = 1, a gamma * -log(1 - b) outside the
+    normal float range raises DomainError, as M * min(1, A) does in
+    ``ModelParams.at``: the normaliser would keep too few bits to trust.
     """
 
     gamma: float
@@ -111,9 +114,11 @@ class ExtendedSibuya:
             raise DomainError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if not 0.0 < self.b < 1.0:
             raise DomainError(f"b must lie in (0, 1), got {self.b!r}")
-        object.__setattr__(
-            self, "log_norm", math.log(-math.expm1(self.gamma * math.log1p(-self.b)))
-        )
+        exponent = self.gamma * math.log1p(-self.b)
+        if self.gamma < 1.0 and -exponent < sys.float_info.min:
+            raise DomainError(f"gamma * -log(1 - b) = {-exponent!r} is below the "
+                              f"normal range at gamma={self.gamma!r}, b={self.b!r}")
+        object.__setattr__(self, "log_norm", math.log(-math.expm1(exponent)))
         object.__setattr__(self, "log_b", math.log(self.b))
         object.__setattr__(self, "log_gamma", math.log(self.gamma))
         object.__setattr__(self, "lgamma_gap", _lgamma_gap(self.gamma))
@@ -202,31 +207,30 @@ def offspring_sampler(params: ModelParams) -> "InverseCdfSampler":
     return InverseCdfSampler(partial(offspring_pmf, params), 0, ratio_bound=params.alpha)
 
 
+_WARM_MASS = 0.99  # cumulative probability a sampler's table is warmed to
+_MAX_TABLE = 4096  # most entries a sampler's table holds
+
+
 class InverseCdfSampler:
     """Exact sampler: tabulated CDF prefix plus a certified geometric tail.
 
-    The table is warmed to ``warm_mass`` cumulative probability, with at
-    least 3 and at most ``max_table`` entries, so that the geometric ratio
+    The table is warmed to ``_WARM_MASS`` cumulative probability, with at
+    least 3 and at most ``_MAX_TABLE`` entries, so that the geometric ratio
     certificate pmf(n+1) <= ratio_bound * pmf(n) holds from the table edge
     on for every law sampled here.  Uniform draws landing past the table are
     resolved exactly by rejection under the envelope
     pmf(edge+1) * ratio_bound^(k - edge - 1).
     """
 
-    def __init__(self, pmf, support_start: int, ratio_bound: float,
-                 warm_mass: float = 0.99, max_table: int = 4096):
+    def __init__(self, pmf, support_start: int, ratio_bound: float):
         if not 0.0 < ratio_bound < 1.0:
             raise DomainError(f"ratio bound must lie in (0, 1), got {ratio_bound!r}")
-        if not 0.0 < warm_mass < 1.0:
-            raise DomainError(f"warm mass must lie in (0, 1), got {warm_mass!r}")
-        if max_table < 3:
-            raise DomainError(f"max table must be at least 3, got {max_table!r}")
         self._pmf = pmf
         self._support_start = support_start
         self._ratio_bound = ratio_bound
         cum = []
         total = 0.0
-        while (total < warm_mass or len(cum) < 3) and len(cum) < max_table:
+        while (total < _WARM_MASS or len(cum) < 3) and len(cum) < _MAX_TABLE:
             total += pmf(support_start + len(cum))
             cum.append(total)
         self._cum = cum

@@ -26,6 +26,7 @@ from .errors import DomainError, PopulationCapExceeded
 from .model import ModelParams
 
 _PATH_BLOCK = 4096  # replicates whose paths are counted before they are split
+_MAX_POPULATION = 10_000_000  # default cap on any replicate's population
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class SimConfig:
     horizons: tuple
     replicates: int
     seed: int
-    max_population: int = 10_000_000
+    max_population: int = _MAX_POPULATION
 
     def __post_init__(self) -> None:
         if len(self.horizons) == 0:
@@ -95,18 +96,18 @@ def _trajectories(params: ModelParams, horizons, rngs, sampler: InverseCdfSample
 
 
 def simulate_counts(params: ModelParams, horizons, rng: np.random.Generator,
-                    sampler: InverseCdfSampler = None,
-                    max_population: int = 10_000_000) -> np.ndarray:
+                    sampler: InverseCdfSampler = None) -> np.ndarray:
     """Counts observed at each horizon along one trajectory from X(0) = 1.
 
     This is the range event loop run on one Generator: it never simulates
     past the last horizon, and an extinct population fills the remaining
     horizons with zeros immediately.  Without ``sampler``, a fresh
-    ``offspring_sampler(params)`` is built.
+    ``offspring_sampler(params)`` is built.  The population cap is
+    ``SimConfig``'s default.
     """
     if sampler is None:
         sampler = offspring_sampler(params)
-    path = next(_trajectories(params, horizons, (rng,), sampler, max_population))
+    path = next(_trajectories(params, horizons, (rng,), sampler, _MAX_POPULATION))
     return np.array(path, dtype=np.int64)
 
 

@@ -76,64 +76,33 @@ def log_mixture_mechanism(params: ModelParams) -> Mechanism:
     )
 
 
-def geometric_mechanism(m: float) -> Mechanism:
-    """Geometric offspring law h(s) = 1 / (1 + m - m s); limit law is
-    F*(s) = 1 - (1 - s)(1 - m s)^(-m)."""
-    if not 0.0 < m < 1.0:
-        raise DomainError(f"mean must lie in (0, 1), got {m!r}")
-
-    def phi(g: float) -> float:
-        return m * g / (1.0 + m * g)
-
-    def limit(s: float) -> float:
-        return 1.0 - (1.0 - s) * math.exp(-m * math.log1p(-m * s))
-
-    return Mechanism("geometric", 1.0, m, phi, limit)
-
-
-def binary_mechanism(m: float) -> Mechanism:
-    """Binary splitting h(s) = 1 + (m/2)(s^2 - 1); limit law is geometric on
-    {1, 2, ...} with parameter rho = m / (2 - m), pgf (1-rho) s / (1 - rho s)."""
-    if not 0.0 < m < 1.0:
-        raise DomainError(f"mean must lie in (0, 1), got {m!r}")
-    rho = m / (2.0 - m)
-
-    def phi(g: float) -> float:
-        return m * g - 0.5 * m * g * g
-
-    def limit(s: float) -> float:
-        return (1.0 - rho) * s / (1.0 - rho * s)
-
-    return Mechanism("binary", 1.0, m, phi, limit)
-
-
-def linear_mechanism(m: float) -> Mechanism:
-    """Pure death-or-survive h(s) = 1 - m + m s; the conditional limit is
-    degenerate at 1, F*(s) = s."""
-    if not 0.0 < m < 1.0:
-        raise DomainError(f"mean must lie in (0, 1), got {m!r}")
-
-    def phi(g: float) -> float:
-        return m * g
-
-    def limit(s: float) -> float:
-        return s
-
-    return Mechanism("linear", 1.0, m, phi, limit)
+_REFERENCE_MEAN = 0.5  # offspring mean of Table 1's three reference mechanisms
 
 
 def standard_mechanisms() -> tuple:
-    """The four reference mechanisms at the package's pinned comparison point.
+    """Table 1's four mechanisms at rate 1, each with its known conditional
+    limit: this package's model at alpha = 0.5, then, at mean
+    m = ``_REFERENCE_MEAN``,
 
-    Means sit at 0.5 (log-mixture: alpha = 0.5) so the limit-law gap at
-    mean-target 1e-3, which scales like 0.08..0.09 times the target, stays
-    below the 1e-4 verification bound with real margin.
+    * geometric h(s) = 1 / (1 + m - m s), limit
+      F*(s) = 1 - (1 - s)(1 - m s)^(-m);
+    * binary splitting h(s) = 1 + (m/2)(s^2 - 1), limit geometric on
+      {1, 2, ...} with pgf (1 - rho) s / (1 - rho s), rho = m / (2 - m);
+    * death-or-survive h(s) = 1 - m + m s, limit degenerate at 1, F*(s) = s.
+
+    At these means the limit-law gap at mean-target 1e-3, which scales like
+    0.08..0.09 times the target, stays below the 1e-4 verification bound
+    with real margin.
     """
+    m = _REFERENCE_MEAN
+    rho = m / (2.0 - m)
     return (
         log_mixture_mechanism(ModelParams(0.5, 1.0)),
-        geometric_mechanism(0.5),
-        binary_mechanism(0.5),
-        linear_mechanism(0.5),
+        Mechanism("geometric", 1.0, m, lambda g: m * g / (1.0 + m * g),
+                  lambda s: 1.0 - (1.0 - s) * math.exp(-m * math.log1p(-m * s))),
+        Mechanism("binary", 1.0, m, lambda g: m * g - 0.5 * m * g * g,
+                  lambda s: (1.0 - rho) * s / (1.0 - rho * s)),
+        Mechanism("linear", 1.0, m, lambda g: m * g, lambda s: s),
     )
 
 

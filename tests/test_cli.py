@@ -263,6 +263,10 @@ class TestVerifyCommand:
         result = runner.invoke(cli, ["verify", "--suite", "nope"])
         assert result.exit_code == 2
 
+    def test_help_lists_every_suite(self, runner):
+        result = runner.invoke(cli, ["verify", "--help"])
+        assert "--suite [closed-form|ode|table1|limit|all]" in result.output
+
 
 # the exact CSV and JSON bytes, so that a change to any digit or to the
 # layout fails; a long output is pinned by the sha256 of its bytes

@@ -167,10 +167,6 @@ class TestPmf:
         assert pmf(params_half, tp, 0) == 0.0
         assert pmf(params_half, tp, 5) == 0.0
 
-    def test_positive_through_200(self, params_half):
-        tp = params_half.at(1.0)
-        assert all(pmf(params_half, tp, n) > 0.0 for n in range(1, 201))
-
     def test_matches_taylor_coefficients(self, params_half):
         # independent oracle: n-th derivative of the power-form pgf at s = 0 over n!
         tp = params_half.at(1.0)

@@ -155,11 +155,23 @@ class TestExtendedSibuya:
         for s in (-1.0, 0.0, 0.3, 1.0):
             assert law.pgf(s) == s
 
+    # in the last two, gamma * -log(1 - b) is 0 and subnormal: the first once
+    # raised a bare math domain error, the second made pmf(1) 1.0000111
     @pytest.mark.parametrize("gamma,b", [(0.5, 0.0), (0.5, 1.0), (0.0, 0.5), (1.5, 0.5),
-                                         (math.nextafter(1.0, 2.0), 0.5)])
+                                         (math.nextafter(1.0, 2.0), 0.5),
+                                         (1e-200, 1e-200), (1e-310, 1e-10)])
     def test_rejects_bad_params(self, gamma, b):
         with pytest.raises(DomainError):
             ExtendedSibuya(gamma, b)
+
+    def test_conditional_family_at_last_resolvable_time(self, params_half):
+        # at alpha 0.5, t = 1963 is the last whole t that ModelParams.at
+        # accepts: M A ~ 2.3e-308 is still normal, so the family's own rule
+        # does not trip, and pmf(1) is the limit's alpha / A to within O(M)
+        from logbranch import conditional_family
+
+        law = conditional_family(params_half, params_half.at(1963.0))
+        assert law.pmf(1) == pytest.approx(LogSeries(0.5).pmf(1), rel=1e-12)
 
 
 class TestLogSeries:
@@ -218,17 +230,21 @@ class TestSamplers:
         draws = offspring_sampler(params_half).draw_many(stream(424242, 3), 1_000_000)
         assert gof_pvalue(draws, lambda n: offspring_pmf(params_half, n), 0, 30) > 1e-3
 
-    def test_rejection_tail_path(self, gof_pvalue):
+    @pytest.fixture()
+    def short_table(self, monkeypatch):
+        # a 4-entry table warmed to half the mass sends many draws down the tail
+        monkeypatch.setattr("logbranch.distributions._MAX_TABLE", 4)
+        monkeypatch.setattr("logbranch.distributions._WARM_MASS", 0.5)
+
+    def test_rejection_tail_path(self, gof_pvalue, short_table):
         law = LogSeries(0.5)
-        sampler = InverseCdfSampler(law.pmf, 1, ratio_bound=law.alpha,
-                                    warm_mass=0.5, max_table=4)
+        sampler = InverseCdfSampler(law.pmf, 1, ratio_bound=law.alpha)
         draws = sampler.draw_many(stream(11, 6), 200_000)
         assert gof_pvalue(draws, law.pmf, 1, 30) > 1e-3
 
-    def test_rejection_tail_path_extended(self, gof_pvalue):
+    def test_rejection_tail_path_extended(self, gof_pvalue, short_table):
         law = ExtendedSibuya(0.7, 0.5)
-        sampler = InverseCdfSampler(law.pmf, 1, ratio_bound=law.b,
-                                    warm_mass=0.5, max_table=4)
+        sampler = InverseCdfSampler(law.pmf, 1, ratio_bound=law.b)
         draws = sampler.draw_many(stream(11, 7), 200_000)
         assert gof_pvalue(draws, law.pmf, 1, 30) > 1e-3
 
@@ -242,8 +258,3 @@ class TestSamplers:
     def test_requires_tail_strategy(self):
         with pytest.raises(TypeError):
             InverseCdfSampler(lambda n: 0.5**n, 1)
-        # below 3 entries the geometric certificate would start too early
-        for max_table in (0, 1, 2):
-            with pytest.raises(DomainError):
-                InverseCdfSampler(lambda n: 0.5**n, 1, ratio_bound=0.5,
-                                  max_table=max_table)

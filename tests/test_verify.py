@@ -9,13 +9,10 @@ from logbranch import (
     ModelParams,
     NumericalDivergence,
     PrecisionLoss,
-    binary_mechanism,
     check_implicit_solution,
-    geometric_mechanism,
     infinitesimal_gen,
     integrate_backward,
     integrate_complement,
-    linear_mechanism,
     log_mixture_mechanism,
     numeric_conditional_limit,
     pgf_at,
@@ -26,15 +23,16 @@ from logbranch import (
 )
 from logbranch.verify import Mechanism
 
+_LOG_MIXTURE, _GEOMETRIC, _BINARY, _LINEAR = standard_mechanisms()
 
 # each mechanism with its offspring pgf h in plain form, kept here only as the
 # reference that the cancellation-free complement phi(g) = 1 - h(1 - g) must match
 _WITH_REFERENCE_H = [
-    lambda: (log_mixture_mechanism(ModelParams(0.5, 1.0)),
+    lambda: (_LOG_MIXTURE,
              lambda s: s + 0.5 * (1.0 - 0.5 * s) * (1.0 + math.log(1.0 - 0.5 * s) / math.log(2.0))),
-    lambda: (geometric_mechanism(0.5), lambda s: 1.0 / (1.5 - 0.5 * s)),
-    lambda: (binary_mechanism(0.5), lambda s: 1.0 + 0.25 * (s * s - 1.0)),
-    lambda: (linear_mechanism(0.5), lambda s: 0.5 + 0.5 * s),
+    lambda: (_GEOMETRIC, lambda s: 1.0 / (1.5 - 0.5 * s)),
+    lambda: (_BINARY, lambda s: 1.0 + 0.25 * (s * s - 1.0)),
+    lambda: (_LINEAR, lambda s: 0.5 + 0.5 * s),
 ]
 
 
@@ -55,9 +53,9 @@ class TestMechanisms:
             assert mech.complement(float(g)) == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("factory", [
-        lambda: geometric_mechanism(0.5),
-        lambda: binary_mechanism(m=0.5),
-        lambda: linear_mechanism(0.5),
+        lambda: _GEOMETRIC,
+        lambda: _BINARY,
+        lambda: _LINEAR,
         lambda: log_mixture_mechanism(ModelParams(0.5, 1.0)),
     ])
     def test_pgf_mean_consistent(self, factory):
@@ -70,17 +68,13 @@ class TestMechanisms:
         assert 2.0 * d_half - d_h == pytest.approx(mech.mean, abs=1e-6)
 
     @pytest.mark.parametrize("factory", [
-        lambda: geometric_mechanism(0.0),
-        lambda: geometric_mechanism(1.0),
-        lambda: linear_mechanism(1.2),
-        lambda: binary_mechanism(m=-0.1),
-        lambda: replace(geometric_mechanism(0.5), rate=0.0),
-        lambda: replace(geometric_mechanism(0.5), rate=math.inf),
-        lambda: replace(geometric_mechanism(0.5), rate=math.nan),
-        lambda: replace(binary_mechanism(m=0.5), rate=math.inf),
-        lambda: replace(binary_mechanism(m=0.5), rate=math.nan),
-        lambda: replace(linear_mechanism(0.5), rate=math.inf),
-        lambda: replace(linear_mechanism(0.5), rate=math.nan),
+        lambda: replace(_GEOMETRIC, rate=0.0),
+        lambda: replace(_GEOMETRIC, rate=math.inf),
+        lambda: replace(_GEOMETRIC, rate=math.nan),
+        lambda: replace(_BINARY, rate=math.inf),
+        lambda: replace(_BINARY, rate=math.nan),
+        lambda: replace(_LINEAR, rate=math.inf),
+        lambda: replace(_LINEAR, rate=math.nan),
     ])
     def test_rejects_bad_parameters(self, factory):
         with pytest.raises(DomainError):
@@ -159,7 +153,7 @@ class TestIntegration:
     def test_long_horizon_ends_on_grid(self):
         # a running sum of 10000 steps of 0.7 ends 1.2e-9 short of 7000,
         # past value_at's 1e-9 tolerance
-        path = integrate_backward(linear_mechanism(0.5), 0.3, 7000.0, 0.7)
+        path = integrate_backward(_LINEAR, 0.3, 7000.0, 0.7)
         assert path.value_at(7000.0) == path.final
         assert path.value_at(3500.0) == path.values[5000]
 
@@ -192,13 +186,11 @@ class TestImplicitSolution:
 
 class TestConditionalLimits:
     def test_linear_limit_is_degenerate(self):
-        mech = linear_mechanism(0.5)
-        ratios = numeric_conditional_limit(mech)
+        ratios = numeric_conditional_limit(_LINEAR)
         assert np.max(np.abs(ratios - np.linspace(0.0, 1.0, 6))) < 1e-9
 
     def test_endpoints(self):
-        mech = binary_mechanism(m=0.5)
-        ratios = numeric_conditional_limit(mech)
+        ratios = numeric_conditional_limit(_BINARY)
         assert ratios[0] == pytest.approx(0.0, abs=1e-12)
         assert ratios[-1] == pytest.approx(1.0, abs=1e-12)
 
