@@ -14,7 +14,6 @@ from .closed_form import (
     conditional_law_at,
     conditional_pmf,
     extinction_prob,
-    factorial_moment,
     law_at,
     limit_law,
     limit_law_factorial_moment,

@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-from functools import partial
 from itertools import repeat
 
 import click
@@ -153,7 +152,7 @@ def pmf(alpha, rate, time_, nmax, conditional, fmt):
         if conditional:
             term = closed_form.conditional_family(params, tp).pmf
         else:
-            term = partial(closed_form.pmf, params, tp)
+            term = closed_form._pmf_term(params, tp)
         values = list(map(term, range(start, nmax + 1)))
     except DomainError as exc:
         raise click.UsageError(str(exc))
@@ -245,12 +244,13 @@ def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt)
     for law, tp in zip(laws, tps):
         model_mean = tp.mean
         model_ext = closed_form.extinction_prob(params, tp)
+        model_pmf = closed_form._pmf_term(params, tp)
         emp_mean = law.mean()
         emp_ext = law.extinction_freq()
         block_rows = []
         for n in sorted(law.counts):
             emp_p = law.prob(n)
-            model_p = closed_form.pmf(params, tp, n)
+            model_p = model_pmf(n)
             rows.append([law.time, n, law.counts[n], emp_p, model_p,
                          emp_mean, model_mean, emp_ext, model_ext])
             block_rows.append([n, law.counts[n], emp_p, model_p])

@@ -7,35 +7,24 @@ the population size X(t) started from a single particle is
     F(t, s) = (1/alpha) * (1 - (1 - alpha) * R(s)^M),
     R(s) = (1 - alpha s) / (1 - alpha),
 
-from which the pmf and the factorial moments follow.  The two laws the paper
+and the survival probability is S(t) = 1 - F(t, 0).  The two laws the paper
 identifies are evaluated through their families in ``distributions``: given
 survival, X(t) is exactly ExtendedSibuya(M, alpha), which
 ``conditional_family`` returns after the t > 0 check (where M rounds to 1
 that is ExtendedSibuya(1, alpha), the unit atom at 1), and its long-time
-limit is exactly LogSeries(alpha).
+limit is exactly LogSeries(alpha).  So for n >= 1 the pmf is
+S(t) * ExtendedSibuya(M, alpha).pmf(n), and the factorial moments are S(t)
+times the family's: the family is the one place a term is assembled.
 ``conditional_pmf``, ``limit_law_pmf`` and ``limit_law_factorial_moment``
 are one-line wrappers over those families, kept only because the
 benchmark's traced replay (``perfbench/spans.py``) calls them by name; call
 the families directly instead.
-
-Every term of the pmf and of the factorial moments carries the falling
-factorial |[M]_n| = M (1 - M) (2 - M) ... (n - 1 - M).  For 0 < M < 1 and
-n >= 1 it telescopes to the gamma ratio
-
-    |[M]_n| = M * Gamma(n - M) / Gamma(1 - M),    sign (-1)^(n-1),
-
-so each term costs O(1) through ``lgamma`` and a table up to n costs O(n).
-The constants of a term are computed once: log alpha and the log-odds on
-``ModelParams``, log M and lgamma(1 - M) on the ``TimePoint``, and those of
-each family when it is built.  All spectrum-spanning products are assembled
-in log space so that nothing overflows before the caller asks for an
-ordinary float.
 """
 
 import math
 from dataclasses import dataclass
 
-from .distributions import ExtendedSibuya, LogSeries, _log_falling_mean
+from .distributions import ExtendedSibuya, LogSeries
 from .errors import DomainError, PrecisionLoss
 from .model import ModelParams, TimePoint
 
@@ -64,10 +53,10 @@ def pgf_at(params: ModelParams, tp: TimePoint, s: float) -> float:
 
 def survival_prob(params: ModelParams, tp: TimePoint) -> float:
     """P(X(t) > 0) = ((1 - alpha)/alpha) * (exp(M A) - 1), via expm1; exactly
-    1 where M rounds to 1, like ``pmf``, so it never exceeds 1."""
+    1 where M rounds to 1, and never above 1 where M is an ulp below it."""
     if tp.mean == 1.0:
         return 1.0
-    return pgf_complement(params, tp, 0.0)
+    return min(1.0, pgf_complement(params, tp, 0.0))
 
 
 def extinction_prob(params: ModelParams, tp: TimePoint) -> float:
@@ -75,41 +64,26 @@ def extinction_prob(params: ModelParams, tp: TimePoint) -> float:
     return 1.0 - survival_prob(params, tp)
 
 
+def _pmf_term(params: ModelParams, tp: TimePoint):
+    """n -> P(X(t) = n), with survival and the family built once."""
+    survival = survival_prob(params, tp)
+    family = ExtendedSibuya(tp.mean, params.alpha)
+
+    def term(n: int) -> float:
+        if n < 0:
+            raise DomainError(f"population size must be nonnegative, got {n!r}")
+        if n == 0:
+            return 1.0 - survival
+        return survival * family.pmf(n)
+
+    return term
+
+
 def pmf(params: ModelParams, tp: TimePoint, n: int) -> float:
-    """P(X(t) = n).
-
-    For n >= 1 and 0 < M < 1 this is
-    ((1-alpha)^(1-M)/alpha) alpha^n |[M]_n| / n!, assembled in log space with
-    |[M]_n| = M Gamma(n - M) / Gamma(1 - M), so one term costs O(1) for any n.
-    Where M rounds to 1 the law is exactly the unit atom at 1.
-    """
-    if n < 0:
-        raise DomainError(f"population size must be nonnegative, got {n!r}")
-    if tp.mean == 1.0:
-        return float(n == 1)
-    if n == 0:
-        return extinction_prob(params, tp)
-    log_p = (
-        -params.log_odds
-        + n * params.log_alpha
-        + tp.mean * params.log_norm
-        + _log_falling_mean(tp.mean, tp.log_mean, tp.lgamma_gap, n)
-        - math.lgamma(n + 1.0)
-    )
-    return math.exp(log_p)
-
-
-def factorial_moment(params: ModelParams, tp: TimePoint, n: int) -> float:
-    """E[X(t) (X(t)-1) ... (X(t)-n+1)] = ((1-alpha)/alpha) (alpha/(1-alpha))^n |[M]_n|."""
-    if n < 1:
-        raise DomainError(f"moment order must be positive, got {n!r}")
-    if tp.mean == 1.0:
-        return float(n == 1)
-    return math.exp(
-        -params.log_odds
-        + n * params.log_odds
-        + _log_falling_mean(tp.mean, tp.log_mean, tp.lgamma_gap, n)
-    )
+    """P(X(t) = n): extinction_prob at n = 0, else
+    S(t) * ExtendedSibuya(M, alpha).pmf(n); exactly the unit atom at 1 where
+    M rounds to 1.  For many terms at one time point, use ``law_at``."""
+    return _pmf_term(params, tp)(n)
 
 
 def conditional_family(params: ModelParams, tp: TimePoint):
@@ -194,7 +168,7 @@ def law_at(params: ModelParams, tp: TimePoint) -> DiscreteLaw:
     """
     if tp.mean == 1.0:
         return DiscreteLaw(0, (0.0, 1.0), 0.0)
-    return _build_law(lambda n: pmf(params, tp, n), 0, params.alpha)
+    return _build_law(_pmf_term(params, tp), 0, params.alpha)
 
 
 def conditional_law_at(params: ModelParams, tp: TimePoint) -> DiscreteLaw:

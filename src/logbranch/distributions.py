@@ -4,8 +4,9 @@ Two families live here: ExtendedSibuya, with pgf
 (1 - (1-bs)^gamma) / (1 - (1-b)^gamma), and LogSeries, the logarithmic
 series law.  They are the laws of the branching process's two results, and
 ``closed_form`` evaluates both through them: given survival, X(t) is exactly
-ExtendedSibuya(M(t), alpha), and its long-time conditional limit is exactly
-LogSeries(alpha).
+ExtendedSibuya(M(t), alpha), so its unconditional pmf is the survival
+probability times this family's, and its long-time conditional limit is
+exactly LogSeries(alpha).
 
 Every term costs O(1).  The ExtendedSibuya terms carry the falling factorial
 |[gamma]_n| = gamma (1 - gamma) ... (n - 1 - gamma), which for 0 < gamma < 1
@@ -32,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams, _lgamma_gap, offspring_pmf
+from .model import ModelParams, offspring_pmf
 
 
 def streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
@@ -121,19 +122,25 @@ class ExtendedSibuya:
         object.__setattr__(self, "log_norm", math.log(-math.expm1(exponent)))
         object.__setattr__(self, "log_b", math.log(self.b))
         object.__setattr__(self, "log_gamma", math.log(self.gamma))
-        object.__setattr__(self, "lgamma_gap", _lgamma_gap(self.gamma))
+        # +inf at the pole gamma = 1, where the law is the unit atom and no
+        # term uses it
+        object.__setattr__(self, "lgamma_gap", math.lgamma(1.0 - self.gamma)
+                           if self.gamma < 1.0 else math.inf)
 
     def pmf(self, n: int) -> float:
         if n < 1:
             raise DomainError(f"support starts at 1, got {n!r}")
         if self.gamma == 1.0:
             return float(n == 1)
-        return math.exp(
+        log_p = (
             n * self.log_b
             + _log_falling_mean(self.gamma, self.log_gamma, self.lgamma_gap, n)
             - math.lgamma(n + 1.0)
             - self.log_norm
         )
+        # log_p < 0 exactly; at n = 1 with gamma a few ulps below 1, rounding
+        # can leave it an ulp above 0, a probability above 1
+        return math.exp(log_p) if log_p < 0.0 else 1.0
 
     def factorial_moment(self, n: int) -> float:
         """E[[N]_n] = (b/(1-b))^n (1-b)^gamma |[gamma]_n| / (1 - (1-b)^gamma);

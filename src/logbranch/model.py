@@ -51,11 +51,6 @@ def critical_alpha() -> float:
 ALPHA_CRITICAL = critical_alpha()
 
 
-def _lgamma_gap(m: float) -> float:
-    """lgamma(1 - m) for 0 < m <= 1, +inf at the pole m = 1."""
-    return math.lgamma(1.0 - m) if m < 1.0 else math.inf
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Validated (alpha, rate) pair plus the derived constants used everywhere.
@@ -63,15 +58,11 @@ class ModelParams:
     ``log_norm`` is A = -log(1 - alpha), ``offspring_mean`` is
     m = 1 - alpha^2 / A, and ``malthusian_rate`` is the decay exponent
     f'(1) = -rate * alpha^2 / A of the expected population size.
-    ``log_alpha`` and ``log_odds`` = log(alpha / (1 - alpha)) are the
-    alpha-only constants of every closed-form term.
     """
 
     alpha: float
     rate: float
     log_norm: float = field(init=False, repr=False, compare=False)
-    log_alpha: float = field(init=False, repr=False, compare=False)
-    log_odds: float = field(init=False, repr=False, compare=False)
     offspring_mean: float = field(init=False, repr=False, compare=False)
     malthusian_rate: float = field(init=False, repr=False, compare=False)
 
@@ -84,8 +75,6 @@ class ModelParams:
             raise DomainError(f"rate must be positive and finite, got {self.rate!r}")
         a_const = -math.log1p(-self.alpha)
         object.__setattr__(self, "log_norm", a_const)
-        object.__setattr__(self, "log_alpha", math.log(self.alpha))
-        object.__setattr__(self, "log_odds", self.log_alpha - math.log1p(-self.alpha))
         object.__setattr__(self, "offspring_mean", 1.0 - self.alpha**2 / a_const)
         object.__setattr__(
             self, "malthusian_rate", -self.rate * self.alpha**2 / a_const
@@ -113,25 +102,16 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TimePoint:
-    """A process time t >= 0 paired with the mean population size M at t.
-
-    ``log_mean`` is log M and ``lgamma_gap`` is lgamma(1 - M), the M-only
-    constants of every closed-form term (+inf at M = 1, where the laws are
-    the unit atom and no term uses it).
-    """
+    """A process time t >= 0 paired with the mean population size M at t."""
 
     t: float
     mean: float
-    log_mean: float = field(init=False, repr=False, compare=False)
-    lgamma_gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.t >= 0.0:
             raise DomainError(f"time must be nonnegative, got {self.t!r}")
         if not 0.0 < self.mean <= 1.0:
             raise DomainError(f"mean must lie in (0, 1], got {self.mean!r}")
-        object.__setattr__(self, "log_mean", math.log(self.mean))
-        object.__setattr__(self, "lgamma_gap", _lgamma_gap(self.mean))
 
 
 def offspring_pmf(params: ModelParams, n: int) -> float:

@@ -7,9 +7,10 @@ checks, except as the value it is compared against. The rows are:
   the defining power identity, the backward and forward equations by finite
   differences, and the implicit one-parameter solution identity at every
   (t, s); the pmf rows check normalisation and positivity;
-* moment rows: factorial moments against Richardson differences of the plain
-  power-form generating function, and against survival times the conditional
-  family's moments;
+* moment rows: the factorial moments, survival times the conditional
+  family's, against Richardson differences of the plain power-form
+  generating function, and against the direct product
+  ((1-alpha)/alpha) (alpha/(1-alpha))^n M (1 - M) ... (n - 1 - M);
 * fixed-step RK4 integration of the backward equation dF/dt = f(F), always
   stepped on the complement G = 1 - F, whose drift rate (phi(G) - G) is
   written per mechanism in cancellation-free form so no precision is lost
@@ -340,18 +341,20 @@ def closed_form_suite() -> list:
 
     worst_fd = 0.0
     worst_split = 0.0
+    a = params.alpha
     for t in (0.5, 1.0, 2.0):
         tp = params.at(t)
         family = closed_form.conditional_family(params, tp)
         survival = closed_form.survival_prob(params, tp)
         for n in range(1, 5):
-            exact = closed_form.factorial_moment(params, tp, n)
+            moment = survival * family.factorial_moment(n)
             approx = _richardson_derivative(
                 lambda s: _power_form_pgf(params, tp.mean, s), 1.0, n, 0.05
             )
-            worst_fd = max(worst_fd, abs(approx - exact) / exact)
-            split = family.factorial_moment(n) * survival
-            worst_split = max(worst_split, abs(split - exact) / exact)
+            worst_fd = max(worst_fd, abs(approx - moment) / moment)
+            falling = tp.mean * math.prod(k - tp.mean for k in range(1, n))
+            direct = ((1.0 - a) / a) * (a / (1.0 - a)) ** n * falling
+            worst_split = max(worst_split, abs(moment - direct) / direct)
     results.append(_result("factorial_moment_derivatives", worst_fd, 1e-4))
     results.append(_result("conditional_moment_decomposition", worst_split, 1e-12))
 

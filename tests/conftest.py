@@ -37,8 +37,12 @@ def chi_square_pvalue(data, pmf, start, nbins):
             raise ValueError(f"draw {value} below support start {start}")
         observed[index if index < nbins else nbins] += count
     head = np.array([pmf(n) for n in range(start, start + nbins)])
-    expected = np.append(head, 1.0 - head.sum()) * total
-    statistic = float(((observed - expected) ** 2 / expected).sum())
+    # the rest mass is 1 - sum(head), which rounding can leave a few ulps
+    # either side of a true value far below an ulp; an empty cell with no
+    # expected mass adds nothing to the statistic, where 0/0 would add NaN
+    expected = np.append(head, max(0.0, 1.0 - head.sum())) * total
+    cells = (observed > 0) | (expected > 0)
+    statistic = float(((observed[cells] - expected[cells]) ** 2 / expected[cells]).sum())
     return float(mpmath.gammainc(nbins / 2, statistic / 2, regularized=True))
 
 

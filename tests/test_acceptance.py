@@ -18,8 +18,9 @@ million-replicate simulation:
    on a 20x20 (t, s) grid: ``implicit_solution_identity``;
 5. the conditional law approaches its limit law at the first-order rate in
    the decaying mean: ``tv_to_limit_decreasing``, ``tv_rate_consistency``;
-6. closed-form factorial moments agree with numerical derivatives of the
-   generating function and with the conditional decomposition:
+6. the factorial moments, survival times the conditional family's, agree
+   with numerical derivatives of the generating function and with the
+   direct falling-factorial product:
    ``factorial_moment_derivatives``, ``conditional_moment_decomposition``;
 7. every reproduction mechanism's numeric conditional limit matches its
    closed form to 1e-4, with the table1 suite under 30 s: ``limit_law_*``;
@@ -41,9 +42,9 @@ from logbranch import (
     conditional_family,
     critical_alpha,
     extinction_prob,
-    factorial_moment,
     pmf,
     run_suite,
+    survival_prob,
 )
 
 SUITE_ROWS = {
@@ -140,7 +141,8 @@ def test_criterion_3_monte_carlo(capsys, big_sim, gof_pvalue):
         q = extinction_prob(cfg.params, tp)
         z_ext = abs(law.extinction_freq() - q) / math.sqrt(q * (1 - q) / n)
 
-        var = factorial_moment(cfg.params, tp, 2) + tp.mean - tp.mean ** 2
+        second = survival_prob(cfg.params, tp) * conditional_family(cfg.params, tp).factorial_moment(2)
+        var = second + tp.mean - tp.mean ** 2
         z_mean = abs(law.mean() - tp.mean) / math.sqrt(var / n)
 
         ok = ok and p_full > 1e-3 and p_cond > 1e-3 and z_ext < 4 and z_mean < 4

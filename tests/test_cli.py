@@ -304,12 +304,12 @@ _PINNED_TEXT = {
         b'    "conditional": false\n  },\n  "columns": [\n    "n",\n'
         b'    "probability"\n  ],\n  "rows": [\n'
         b'    [\n      0,\n      0.3786377956594842\n    ],\n'
-        b'    [\n      1,\n      0.5652120672506877\n    ],\n'
+        b'    [\n      1,\n      0.5652120672506878\n    ],\n'
         b'    [\n      2,\n      0.0427856466314245\n    ],\n'
         b'    [\n      3,\n      0.0092901443066996\n    ],\n'
         b'    [\n      4,\n      0.0026741605858567733\n    ],\n'
-        b'    [\n      5,\n      0.0008832200420646228\n    ]\n  ],\n'
-        b'  "tail_mass": 0.0005169655237825532\n}\n',
+        b'    [\n      5,\n      0.0008832200420646227\n    ]\n  ],\n'
+        b'  "tail_mass": 0.0005169655237824422\n}\n',
     ),
     "pmf-conditional-json": (
         ["pmf", "--alpha", "0.5", "--k", "1", "--t", "1", "--nmax", "5",

@@ -1,7 +1,9 @@
+import json
 import math
 import sys
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -15,7 +17,6 @@ from logbranch import (
     conditional_family,
     conditional_law_at,
     extinction_prob,
-    factorial_moment,
     law_at,
     limit_law,
     pgf_at,
@@ -24,6 +25,7 @@ from logbranch import (
     survival_prob,
     tv_distance,
 )
+from logbranch.cli import cli
 from logbranch.closed_form import _build_law
 from logbranch.distributions import _log_falling_mean
 from logbranch.model import infinitesimal_gen
@@ -146,6 +148,23 @@ class TestExtinctionSurvival:
         first_order = ((1.0 - alpha) / alpha) * params.log_norm * tp.mean
         assert survival_prob(params, tp) == pytest.approx(first_order, rel=1e-6)
 
+    # M is one ulp below 1 at both: unclamped, the expm1 survival form
+    # rounds to 1 + 2^-52 there, and at 0.2118 the family's head term to
+    # 1 + 2^-52 as well
+    @pytest.mark.parametrize("alpha,t", [(0.0593, 1e-15), (0.2118, 3e-16)])
+    def test_at_most_one_where_mean_is_an_ulp_below_one(self, alpha, t):
+        params = ModelParams(alpha, 1.0)
+        tp = params.at(t)
+        assert tp.mean == 1.0 - 2.0**-53
+        assert survival_prob(params, tp) <= 1.0
+        assert extinction_prob(params, tp) >= 0.0
+        for law in (law_at(params, tp), conditional_law_at(params, tp)):
+            assert all(0.0 <= p <= 1.0 for p in law.probs)
+        result = CliRunner().invoke(cli, ["pmf", "--alpha", repr(alpha), "--k", "1",
+                                          "--t", repr(t), "--nmax", "2", "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["rows"][0] == [0, 0.0]
+
     def test_survival_decreasing_in_time(self, params_half):
         values = [survival_prob(params_half, params_half.at(t))
                   for t in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)]
@@ -215,8 +234,8 @@ def _term_rel_bound(n):
 
 
 def _reference_terms(alpha, mean, nmax):
-    """50-digit pmf, conditional pmf, factorial moment and conditional
-    factorial moment for n = 1..nmax, from the ratio recurrences
+    """50-digit pmf, conditional pmf and conditional factorial moment for
+    n = 1..nmax, from the ratio recurrences
 
         term(n + 1) = term(n) * alpha (n - M) / (n + 1)   (pmf, conditional pmf)
         term(n + 1) = term(n) * (alpha/(1-alpha)) (n - M)  (factorial moments)
@@ -228,12 +247,11 @@ def _reference_terms(alpha, mean, nmax):
         odds = a / (1 - a)
         keep = (1 - a) ** m
         terms = [((1 - a) ** (1 - m) * m, a * m / (1 - keep),
-                  m, odds * keep * m / (1 - keep))]
+                  odds * keep * m / (1 - keep))]
         for n in range(1, nmax):
-            p, c, f, g = terms[-1]
+            p, c, g = terms[-1]
             q = a * (n - m) / (n + 1)
-            r = odds * (n - m)
-            terms.append((p * q, c * q, f * r, g * r))
+            terms.append((p * q, c * q, g * odds * (n - m)))
         return terms
 
 
@@ -254,7 +272,6 @@ def _check_term(term, ref, n):
 
 TERMS = (pmf,
          lambda p, tp, n: conditional_family(p, tp).pmf(n),
-         factorial_moment,
          lambda p, tp, n: conditional_family(p, tp).factorial_moment(n))
 
 
@@ -264,7 +281,8 @@ def _check_terms(params, tp, n, refs):
 
 
 class TestTermPrecision:
-    """pmf and factorial-moment terms against a 50-digit oracle."""
+    """pmf, conditional pmf and conditional factorial-moment terms against a
+    50-digit oracle."""
 
     NMAX = 4000
 
@@ -297,8 +315,9 @@ class TestTermPrecision:
             log_p = (1 - m) * mp.log1p(-a) + n * mp.log(a) + log_ff - mp.loggamma(n + 1)
             p = mp.exp(log_p)
             c = p / (1 - (1 - a) ** m)
-            assert abs(_log_falling_mean(tp.mean, tp.log_mean, tp.lgamma_gap, n) - log_ff) <= _term_rel_bound(n)
-        _check_terms(params, tp, n, (p, c, mp.inf, mp.inf))
+        log_m, gap = math.log(tp.mean), math.lgamma(1.0 - tp.mean)
+        assert abs(_log_falling_mean(tp.mean, log_m, gap, n) - log_ff) <= _term_rel_bound(n)
+        _check_terms(params, tp, n, (p, c, mp.inf))
 
     # at 0.06 and 0.25 the general log-space assembly misses 1.0 by an ulp;
     # at 0.24 and 0.3 the expm1 survival form overshoots 1 by one; at a
@@ -316,9 +335,8 @@ class TestTermPrecision:
             assert pmf(params, tp, n) == 0.0
         for n in (2, 3, 1000):
             assert conditional_family(params, tp).pmf(n) == 0.0
-            assert factorial_moment(params, tp, n) == 0.0
             assert conditional_family(params, tp).factorial_moment(n) == 0.0
-        assert factorial_moment(params, tp, 1) == pytest.approx(1.0, rel=1e-15)
+        assert conditional_family(params, tp).factorial_moment(1) == 1.0
         assert law_at(params, tp) == law_at(params, params.at(0.0))
 
 
@@ -372,24 +390,33 @@ class TestFamilyTermPrecision:
         _check_family_terms(gamma, b, n, (extended, moment))
 
 
+def _factorial_moment(params, tp, n):
+    # E[[X(t)]_n] = P(X(t) > 0) E[[X(t)]_n | X(t) > 0]; the family is built
+    # directly so that t = 0 (the unit atom) is allowed
+    return survival_prob(params, tp) * ExtendedSibuya(tp.mean, params.alpha).factorial_moment(n)
+
+
 class TestFactorialMoments:
+    """The unconditional moments, survival times the conditional family's."""
+
     def test_first_is_mean(self, params_half):
+        # E X(t) = M(t)
         for t in (0.0, 0.5, 2.0):
             tp = params_half.at(t)
-            assert factorial_moment(params_half, tp, 1) == pytest.approx(tp.mean, rel=1e-12)
+            assert _factorial_moment(params_half, tp, 1) == pytest.approx(tp.mean, rel=1e-12)
 
     def test_reference_second(self, params_half):
         tp = params_half.at(1.0)
-        assert factorial_moment(params_half, tp, 2) == pytest.approx(0.21110962876467147, rel=1e-13)
+        assert _factorial_moment(params_half, tp, 2) == pytest.approx(0.21110962876467147, rel=1e-13)
 
     def test_time_zero_higher_orders_vanish(self, params_half):
         tp = params_half.at(0.0)
-        assert factorial_moment(params_half, tp, 2) == 0.0
-        assert factorial_moment(params_half, tp, 5) == 0.0
+        assert _factorial_moment(params_half, tp, 2) == 0.0
+        assert _factorial_moment(params_half, tp, 5) == 0.0
 
     def test_rejects_order_zero(self, params_half):
         with pytest.raises(DomainError):
-            factorial_moment(params_half, params_half.at(1.0), 0)
+            _factorial_moment(params_half, params_half.at(1.0), 0)
 
 
 class TestConditionalLaw:
@@ -412,22 +439,6 @@ class TestConditionalLaw:
         law = conditional_law_at(params, params.at(t))
         assert law.support_offset == 1
         assert law.total_mass() == pytest.approx(1.0, abs=1e-10)
-
-    @given(alpha=alphas, t=times, n=st.integers(min_value=1, max_value=40))
-    @settings(max_examples=150, deadline=None)
-    def test_conditioning_identity(self, alpha, t, n):
-        params = ModelParams(alpha, 1.0)
-        tp = params.at(t)
-        lhs = conditional_family(params, tp).pmf(n) * survival_prob(params, tp)
-        assert lhs == pytest.approx(pmf(params, tp, n), rel=1e-12)
-
-    @given(alpha=alphas, t=times, n=st.integers(min_value=1, max_value=12))
-    @settings(max_examples=150, deadline=None)
-    def test_moment_conditioning_identity(self, alpha, t, n):
-        params = ModelParams(alpha, 1.0)
-        tp = params.at(t)
-        lhs = conditional_family(params, tp).factorial_moment(n) * survival_prob(params, tp)
-        assert lhs == pytest.approx(factorial_moment(params, tp, n), rel=1e-12)
 
     def test_first_conditional_moment(self, params_half):
         tp = params_half.at(1.0)

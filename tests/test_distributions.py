@@ -113,6 +113,13 @@ class TestExtendedSibuya:
         expected = b**n * _sibuya_pmf_direct(gamma, n) / norm
         assert law.pmf(n) == pytest.approx(expected, rel=1e-11)
 
+    @pytest.mark.parametrize("b", [1e-6, 0.06, 0.2118, 0.5, 0.77])
+    def test_head_mass_at_most_one_near_unit_gamma(self, b):
+        # within a few ulps of gamma = 1 the log-space head term can round
+        # an ulp above 0
+        for k in range(1, 65):
+            assert ExtendedSibuya(1.0 - k * 2.0**-53, b).pmf(1) <= 1.0
+
     def test_approaches_plain_sibuya(self):
         nearly = ExtendedSibuya(0.6, 1.0 - 1e-10)
         for n in range(1, 21):
