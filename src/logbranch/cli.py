@@ -9,9 +9,15 @@ with ``--format json``, byte for byte what ``json.dumps(record, indent=2)``
 writes (each float as the shortest repr that round-trips exactly).  Both are
 written a column at a time: CPython skips its C JSON encoder whenever
 ``indent`` is set, and a Python call per cell cost more than the tables
-themselves, so each column of one type becomes text in one ``map``.  Exit
-codes: 0 success, 1 a verification check failed, 2 usage or domain error,
-3 population cap exceeded.
+themselves, so each column of one type becomes text in one ``map``.  Every
+command writes one record: the schema version, the command name and its
+params, then its own fields.
+
+Exit codes: 0 success, 1 a verification check failed or the harness failed
+numerically (``NumericalDivergence``, ``PrecisionLoss``, with ``error: ...``
+on stderr), 2 usage or domain error, 3 population cap exceeded.  One command
+class, ``_Command``, maps the typed errors to these codes; the command bodies
+only raise them.
 """
 
 import csv
@@ -115,11 +121,42 @@ def _render(record, fmt, columns, *tables) -> str:
     return buf.getvalue()
 
 
-def _make_params(alpha: float, rate: float) -> ModelParams:
-    try:
-        return ModelParams(alpha, rate)
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
+class _Command(click.Command):
+    """A subcommand whose typed errors become the exit codes listed above;
+    a ``DomainError``'s usage line names the subcommand."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DomainError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except (PopulationCapExceeded, NumericalDivergence, PrecisionLoss) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(3 if isinstance(exc, PopulationCapExceeded) else 1)
+
+
+def _echo_record(command, params, fmt, header, *tables, **fields):
+    """Write one command's record (schema version, command name, params, then
+    ``fields``) as JSON, or the CSV ``header`` and then ``tables``."""
+    record = {"schema_version": SCHEMA_VERSION, "command": command,
+              "params": params, **fields}
+    click.echo(_render(record, fmt, header, *tables), nl=False)
+
+
+def _sizes(start: int, nmax: int) -> range:
+    if nmax < start:
+        raise DomainError(f"nmax must be at least {start}, got {nmax!r}")
+    return range(start, nmax + 1)
+
+
+def _echo_law(command, params, fmt, columns, sizes, values, *extra):
+    """A law's table: a row per size (``extra`` adds columns), then a
+    ``tail`` row holding the mass 1 - sum(values) past the last size."""
+    rows = list(zip(sizes, values, *extra))
+    tail = max(0.0, 1.0 - math.fsum(values))
+    tail_row = ["tail", tail, *[None] * len(extra)]
+    _echo_record(command, params, fmt, columns, rows, [tail_row],
+                 columns=columns, rows=rows, tail_mass=tail)
 
 
 _FORMAT = click.option(
@@ -134,7 +171,7 @@ def cli():
     closed-form laws, ODE cross-checks, and exact simulation."""
 
 
-@cli.command()
+@cli.command(cls=_Command)
 @click.option("--alpha", type=float, required=True, help="offspring mixture weight")
 @click.option("--k", "rate", type=float, required=True, help="per-particle event rate")
 @click.option("--t", "time_", type=float, required=True, help="observation time")
@@ -143,46 +180,27 @@ def cli():
 @_FORMAT
 def pmf(alpha, rate, time_, nmax, conditional, fmt):
     """Closed-form law of the population size at time t."""
-    params = _make_params(alpha, rate)
-    try:
-        tp = params.at(time_)
-        start = 1 if conditional else 0
-        if nmax < start:
-            raise DomainError(f"nmax must be at least {start}, got {nmax!r}")
-        if conditional:
-            term = closed_form.conditional_family(params, tp).pmf
-        else:
-            term = closed_form._pmf_term(params, tp)
-        values = list(map(term, range(start, nmax + 1)))
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
-    tail = max(0.0, 1.0 - math.fsum(values))
-    rows = list(zip(range(start, nmax + 1), values))
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "pmf",
-        "params": {"alpha": alpha, "k": rate, "t": time_, "nmax": nmax,
-                   "conditional": conditional},
-        "columns": ["n", "probability"],
-        "rows": rows,
-        "tail_mass": tail,
-    }
-    click.echo(_render(record, fmt, record["columns"], rows, [["tail", tail]]),
-               nl=False)
+    params = ModelParams(alpha, rate)
+    tp = params.at(time_)
+    sizes = _sizes(1 if conditional else 0, nmax)
+    if conditional:
+        term = closed_form.conditional_family(params, tp).pmf
+    else:
+        term = closed_form._pmf_term(params, tp)
+    _echo_law("pmf", {"alpha": alpha, "k": rate, "t": time_, "nmax": nmax,
+                      "conditional": conditional},
+              fmt, ["n", "probability"], sizes, list(map(term, sizes)))
 
 
-@cli.command()
+@cli.command(cls=_Command)
 @click.option("--alpha", type=float, required=True, help="offspring mixture weight")
 @click.option("--nmax", type=int, required=True, help="largest size to tabulate")
 @_FORMAT
 def limit(alpha, nmax, fmt):
     """Long-time law conditioned on survival (logarithmic series), with its
     factorial moments; moments past float range are left empty."""
-    law = LogSeries(_make_params(alpha, 1.0).alpha)
-    if nmax < 1:
-        raise click.UsageError(f"nmax must be at least 1, got {nmax!r}")
-    sizes = range(1, nmax + 1)
-    values = list(map(law.pmf, sizes))
+    law = LogSeries(ModelParams(alpha, 1.0).alpha)
+    sizes = _sizes(1, nmax)
     moments = []
     for n in sizes:
         try:
@@ -193,21 +211,17 @@ def limit(alpha, nmax, fmt):
             # once a moment overflows every later one does too
             break
     moments += [None] * (nmax - len(moments))
-    rows = list(zip(sizes, values, moments))
-    tail = max(0.0, 1.0 - math.fsum(values))
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "limit",
-        "params": {"alpha": alpha, "nmax": nmax},
-        "columns": ["n", "probability", "factorial_moment"],
-        "rows": rows,
-        "tail_mass": tail,
-    }
-    click.echo(_render(record, fmt, record["columns"], rows, [["tail", tail, None]]),
-               nl=False)
+    _echo_law("limit", {"alpha": alpha, "nmax": nmax}, fmt,
+              ["n", "probability", "factorial_moment"], sizes,
+              list(map(law.pmf, sizes)), moments)
 
 
-@cli.command()
+_HORIZON_COLUMNS = ["n", "count", "empirical_prob", "model_prob"]
+_HORIZON_SUMMARY = ["empirical_mean", "model_mean", "empirical_extinction",
+                    "model_extinction"]
+
+
+@cli.command(cls=_Command)
 @click.option("--alpha", type=float, required=True, help="offspring mixture weight")
 @click.option("--k", "rate", type=float, required=True, help="per-particle event rate")
 @click.option("--times", required=True,
@@ -222,79 +236,49 @@ def limit(alpha, nmax, fmt):
 @_FORMAT
 def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt):
     """Monte Carlo histograms at each horizon, next to the closed-form law."""
-    params = _make_params(alpha, rate)
+    params = ModelParams(alpha, rate)
     try:
         horizons = tuple(float(x) for x in times.split(","))
     except ValueError:
-        raise click.UsageError(f"cannot parse horizon list {times!r}")
-    try:
-        cfg = SimConfig(params, horizons, replicates, seed, max_population)
-        tps = [params.at(t) for t in horizons]
-        laws = estimate_law(cfg, workers=workers)
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
-    except PopulationCapExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    columns = ["time", "n", "count", "empirical_prob", "model_prob",
-               "empirical_mean", "model_mean", "empirical_extinction",
-               "model_extinction"]
-    rows = []
-    horizon_blocks = []
+        raise DomainError(f"cannot parse horizon list {times!r}") from None
+    cfg = SimConfig(params, horizons, replicates, seed, max_population)
+    tps = [params.at(t) for t in horizons]
+    laws = estimate_law(cfg, workers=workers)
+    blocks = []
     for law, tp in zip(laws, tps):
-        model_mean = tp.mean
-        model_ext = closed_form.extinction_prob(params, tp)
         model_pmf = closed_form._pmf_term(params, tp)
-        emp_mean = law.mean()
-        emp_ext = law.extinction_freq()
-        block_rows = []
-        for n in sorted(law.counts):
-            emp_p = law.prob(n)
-            model_p = model_pmf(n)
-            rows.append([law.time, n, law.counts[n], emp_p, model_p,
-                         emp_mean, model_mean, emp_ext, model_ext])
-            block_rows.append([n, law.counts[n], emp_p, model_p])
-        horizon_blocks.append({
+        blocks.append({
             "time": law.time,
-            "empirical_mean": emp_mean,
-            "model_mean": model_mean,
-            "empirical_extinction": emp_ext,
-            "model_extinction": model_ext,
-            "columns": ["n", "count", "empirical_prob", "model_prob"],
-            "rows": block_rows,
+            "empirical_mean": law.mean(),
+            "model_mean": tp.mean,
+            "empirical_extinction": law.extinction_freq(),
+            "model_extinction": closed_form.extinction_prob(params, tp),
+            "columns": _HORIZON_COLUMNS,
+            "rows": [[n, law.counts[n], law.prob(n), model_pmf(n)]
+                     for n in sorted(law.counts)],
         })
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "params": {"alpha": alpha, "k": rate, "times": list(horizons),
-                   "replicates": replicates, "seed": seed, "workers": workers,
-                   "max_population": max_population},
-        "horizons": horizon_blocks,
-    }
-    click.echo(_render(record, fmt, columns, rows), nl=False)
+    # one CSV row per (horizon, n): the block's row between its time and summary
+    rows = [[block["time"], *row, *(block[key] for key in _HORIZON_SUMMARY)]
+            for block in blocks for row in block["rows"]]
+    _echo_record("simulate",
+                 {"alpha": alpha, "k": rate, "times": list(horizons),
+                  "replicates": replicates, "seed": seed, "workers": workers,
+                  "max_population": max_population},
+                 fmt, ["time", *_HORIZON_COLUMNS, *_HORIZON_SUMMARY], rows,
+                 horizons=blocks)
 
 
-@cli.command()
+@cli.command(cls=_Command)
 @click.option("--suite", type=click.Choice([*_SUITES, "all"]),
               default="all", show_default=True, help="which check suite to run")
 @_FORMAT
 def verify(suite, fmt):
     """Numerical cross-checks; exits 1 if any residual exceeds its tolerance."""
-    try:
-        results = run_suite(suite)
-    except (NumericalDivergence, PrecisionLoss) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    results = run_suite(suite)
     columns = ["check", "residual", "tolerance", "passed"]
     rows = [[r.name, r.residual, r.tolerance, r.passed] for r in results]
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "params": {"suite": suite},
-        "columns": columns,
-        "rows": rows,
-    }
-    click.echo(_render(record, fmt, columns, rows), nl=False)
+    _echo_record("verify", {"suite": suite}, fmt, columns, rows,
+                 columns=columns, rows=rows)
     if not all(r.passed for r in results):
         sys.exit(1)
 

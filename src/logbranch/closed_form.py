@@ -43,7 +43,11 @@ def pgf_complement(params: ModelParams, tp: TimePoint, s: float) -> float:
     if not abs(s) <= 1.0:
         raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
     a = params.alpha
-    return ((1.0 - a) / a) * math.expm1(tp.mean * _log_ratio(params, s))
+    scale = (1.0 - a) / a
+    if scale == math.inf:
+        # alpha < 1/DBL_MAX: R(s)^M - 1 is M alpha (1 - s)/(1 - alpha), not inf * 0
+        return tp.mean * (1.0 - s)
+    return scale * math.expm1(tp.mean * _log_ratio(params, s))
 
 
 def pgf_at(params: ModelParams, tp: TimePoint, s: float) -> float:

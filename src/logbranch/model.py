@@ -122,7 +122,9 @@ def offspring_pmf(params: ModelParams, n: int) -> float:
     if n == 0:
         return a
     if n == 1:
-        return 1.0 - a * a * (1.0 + 1.0 / params.log_norm)
+        inv_norm = 1.0 / params.log_norm
+        # where A < 1/DBL_MAX, alpha^2 (1 + 1/A) is alpha, not 0 * inf = NaN
+        return 1.0 - (a if inv_norm == math.inf else a * a * (1.0 + inv_norm))
     return (a / params.log_norm) * a**n / (n * (n - 1.0))
 
 

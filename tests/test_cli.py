@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,9 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logbranch import ALPHA_CRITICAL, LogSeries, ModelParams, conditional_family, pmf
+from logbranch import ALPHA_CRITICAL, LogSeries, conditional_family, pmf
 from logbranch.cli import _render, cli
+from logbranch.errors import NumericalDivergence, PrecisionLoss
 from logbranch.verify import CheckResult
 
 
@@ -207,13 +209,15 @@ class TestSimulateCommand:
                                      "--times", "1;2", "--replicates", "10"])
         assert result.exit_code == 2
 
-    def test_population_cap_exit_code(self, runner):
-        for workers in ("1", "2"):
-            result = runner.invoke(cli, ["simulate", "--alpha", "0.5", "--k", "1",
-                                         "--times", "10", "--replicates", "500",
-                                         "--seed", "23", "--max-population", "3",
-                                         "--workers", workers])
-            assert result.exit_code == 3
+    @pytest.mark.parametrize("alpha", ["1e-310", "5e-324"])
+    def test_subnormal_weight_keeps_one_particle(self, runner, alpha):
+        # P(eta = 1) rounds to 1 and M(t) is exactly 1, so every replicate
+        # holds the one particle it started with
+        result = runner.invoke(cli, ["simulate", "--alpha", alpha, "--k", "1",
+                                     "--times", "1", "--replicates", "5", "--seed", "1"])
+        assert result.exit_code == 0
+        _, rows = _rows(result.output)
+        assert [row[1:3] for row in rows] == [["1", "5"]]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_pinned_stream_counts(self, runner, workers):
@@ -266,6 +270,48 @@ class TestVerifyCommand:
     def test_help_lists_every_suite(self, runner):
         result = runner.invoke(cli, ["verify", "--help"])
         assert "--suite [closed-form|ode|table1|limit|all]" in result.output
+
+
+@pytest.fixture()
+def split_runner():
+    try:
+        # click before 8.2 mixes stderr into stdout unless told not to
+        return CliRunner(mix_stderr=False)
+    except TypeError:
+        return CliRunner()
+
+
+def _raise(exc_type):
+    def run_suite(name):
+        raise exc_type("rigged")
+    return run_suite
+
+
+_CAPPED = ["simulate", "--alpha", "0.5", "--k", "1", "--times", "10",
+           "--replicates", "500", "--seed", "23", "--max-population", "3"]
+
+
+@pytest.mark.parametrize("args, fault, code, stderr", [
+    (["verify"], NumericalDivergence, 1, r"error: rigged\n"),
+    (["verify"], PrecisionLoss, 1, r"error: rigged\n"),
+    (["pmf", "--alpha", "0.5", "--k", "1", "--t", "-1", "--nmax", "5"], None, 2,
+     r"Usage: logbranch pmf \[OPTIONS\]\n.*Error: time must be nonnegative"),
+    (["limit", "--alpha", "0.5", "--nmax", "0"], None, 2,
+     r"Usage: logbranch limit \[OPTIONS\]\n.*Error: nmax must be at least 1"),
+    (["simulate", "--alpha", "0.5", "--k", "1", "--times", "1,x", "--replicates", "5"],
+     None, 2, r"Usage: logbranch simulate \[OPTIONS\]\n.*Error: cannot parse"),
+    ([*_CAPPED, "--workers", "1"], None, 3, r"error: population \d+ exceeded cap 3\n"),
+    ([*_CAPPED, "--workers", "2"], None, 3, r"error: population \d+ exceeded cap 3\n"),
+], ids=["verify-divergence", "verify-precision-loss", "pmf-domain", "limit-domain",
+        "simulate-domain", "cap-workers-1", "cap-workers-2"])
+def test_exit_code_map(split_runner, monkeypatch, args, fault, code, stderr):
+    # each typed error becomes its exit code, with nothing on stdout
+    if fault is not None:
+        monkeypatch.setattr("logbranch.cli.run_suite", _raise(fault))
+    result = split_runner.invoke(cli, args, prog_name="logbranch")
+    assert result.exit_code == code
+    assert result.stdout == ""
+    assert re.match(stderr, result.stderr, re.S)
 
 
 # the exact CSV and JSON bytes, so that a change to any digit or to the

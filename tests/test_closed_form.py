@@ -74,6 +74,15 @@ class TestGeneratingFunction:
         assert abs(pgf_at(params, params.at(t), inner)
                    - pgf_at(params, params.at(t + u), s)) < 1e-12
 
+    # (1 - alpha)/alpha overflows below 1/DBL_MAX; M is exactly 1 there
+    @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
+    def test_subnormal_weight_is_identity(self, alpha):
+        params = ModelParams(alpha, 1.0)
+        for t in (0.0, 1.0, 1e300):
+            for s in (-1.0, 0.0, 0.5, 0.9):
+                value = pgf_at(params, params.at(t), s)
+                assert math.isfinite(value) and abs(value - s) <= 1e-15
+
     @given(alpha=alphas, t=times, s=s_unit)
     @settings(max_examples=150, deadline=None)
     def test_complement_is_exact(self, alpha, t, s):
@@ -508,11 +517,3 @@ class TestLimitLaw:
         assert tvs[0] == pytest.approx(0.18828628621920707, rel=1e-6)
         assert all(b < a for a, b in zip(tvs, tvs[1:]))
         assert max(ratios) / min(ratios) < 1.5
-
-    def test_conditional_moments_converge(self, params_half):
-        t = math.log(1e-4) / params_half.malthusian_rate
-        tp = params_half.at(t)
-        for n in range(1, 6):
-            lim = LogSeries(params_half.alpha).factorial_moment(n)
-            cond = conditional_family(params_half, tp).factorial_moment(n)
-            assert cond == pytest.approx(lim, rel=1e-2)

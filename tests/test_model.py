@@ -127,6 +127,15 @@ class TestOffspringPmf:
         with pytest.raises(DomainError):
             offspring_pmf(params_half, -1)
 
+    # below 1/DBL_MAX the unit atom's 1/A overflows while alpha^2 underflows
+    @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
+    def test_subnormal_weight_is_finite(self, alpha):
+        params = ModelParams(alpha, 1.0)
+        probs = [offspring_pmf(params, n) for n in range(5)]
+        assert all(map(math.isfinite, probs))
+        assert probs[1] == 1.0
+        assert math.fsum(probs) == 1.0
+
     @given(alpha=alphas)
     @settings(max_examples=60, deadline=None)
     def test_normalizes(self, alpha):
