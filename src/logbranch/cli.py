@@ -5,13 +5,11 @@ long-time conditional law), ``simulate`` (Monte Carlo with closed-form
 columns alongside), and ``verify`` (numerical cross-check suites).
 
 Output is CSV by default (RFC 4180, floats at 10 significant digits) or JSON
-with ``--format json``, byte for byte what ``json.dumps(record, indent=2)``
-writes (each float as the shortest repr that round-trips exactly).  Both are
-written a column at a time: CPython skips its C JSON encoder whenever
-``indent`` is set, and a Python call per cell cost more than the tables
-themselves, so each column of one type becomes text in one ``map``.  Every
-command writes one record: the schema version, the command name and its
-params, then its own fields.
+with ``--format json``: ``json.dumps(record)`` on one line (each float as the
+shortest repr that round-trips exactly).  CSV is written a column at a time: a
+Python call per cell cost more than the tables themselves, so each column of
+one type becomes text in one ``map``.  Every command writes one record: the
+schema version, the command name and its params, then its own fields.
 
 Exit codes: 0 success, 1 a verification check failed or the harness failed
 numerically (``NumericalDivergence``, ``PrecisionLoss``, with ``error: ...``
@@ -56,55 +54,21 @@ def _csv_text(value) -> str:
     return str(value)
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)`` for a value nested at ``indent``, with
-    string keys; a list of equal-length lists is written column by column."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{inner}{json.dumps(key)}: {_json_text(item, inner)}"
-                 for key, item in value.items()]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if (set(map(type, value)) <= {list, tuple}
-                and len(set(map(len, value))) == 1 and value[0]):
-            cell = "\n" + inner + "  %s"
-            row = "\n" + inner + "[" + ",".join([cell] * len(value[0])) + "\n" + inner + "]"
-            cells = _cells(value, "json", inner + "  ")
-            return "[" + ",".join(map(row.__mod__, cells)) + "\n" + indent + "]"
-        items = [inner + _json_text(item, inner) for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    if value is None:
-        return "null"
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
-
-
-def _column_text(column, fmt: str, indent: str):
-    """The cells of one column as text: one ``map`` over plain ints or plain
-    floats (in JSON only finite ones, and a sum is finite only if every term
-    is), a conversion per cell in any other column."""
+def _column_text(column):
+    """The cells of one column as CSV text: one ``map`` over plain ints or
+    plain floats, a conversion per cell in any other column."""
     kinds = set(map(type, column))
     if kinds == {int}:
         return map(int.__repr__, column)
     if kinds == {float}:
-        if fmt == "csv":
-            return map(format, column, repeat(".10g"))
-        if math.isfinite(sum(column)):
-            return map(float.__repr__, column)
-    if fmt == "csv":
-        return map(_csv_text, column)
-    return map(_json_text, column, repeat(indent))
+        return map(format, column, repeat(".10g"))
+    return map(_csv_text, column)
 
 
-def _cells(rows, fmt: str, indent: str = ""):
-    """The rows of a table of equal-length rows as tuples of cell text,
+def _cells(rows):
+    """The rows of a table of equal-length rows as tuples of CSV cell text,
     converted column by column."""
-    columns = [_column_text(column, fmt, indent) for column in zip(*rows)]
+    columns = [_column_text(column) for column in zip(*rows)]
     return zip(*columns) if columns else [()] * len(rows)
 
 
@@ -112,12 +76,12 @@ def _render(record, fmt, columns, *tables) -> str:
     """A command's output: ``record`` as JSON, or the header ``columns`` and
     then the rows of each table as CSV."""
     if fmt == "json":
-        return _json_text(record) + "\n"
+        return json.dumps(record) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
     for rows in tables:
-        writer.writerows(_cells(rows, "csv"))
+        writer.writerows(_cells(rows))
     return buf.getvalue()
 
 
@@ -230,7 +194,7 @@ _HORIZON_SUMMARY = ["empirical_mean", "model_mean", "empirical_extinction",
 @click.option("--seed", type=int, default=202508, envvar="LOGBRANCH_SEED",
               show_default=True, show_envvar=True, help="RNG seed")
 @click.option("--workers", type=int, default=1, show_default=True,
-              help="parallel worker processes")
+              help="parallel worker processes, capped at the CPU count")
 @click.option("--max-population", type=int, default=_MAX_POPULATION, show_default=True,
               help="abort when any replicate exceeds this size")
 @_FORMAT

@@ -13,6 +13,7 @@ on a single Generator.
 """
 
 import math
+import os
 from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -157,9 +158,13 @@ def estimate_law(cfg: SimConfig, workers: int = 1) -> list:
     before they are split into per-horizon histograms.  The result is
     identical for any worker count: replicate index i always draws exactly
     what ``stream(seed, i)`` draws, and histogram merging is commutative.
+    ``workers`` is capped at the CPU count: a process pool forks all of its
+    workers at once, so the cap keeps a huge request from exhausting the
+    process table.
     """
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers!r}")
+    workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or cfg.replicates < 4 * workers:
         tallies = _tally_range(cfg, 0, cfg.replicates)
     else:

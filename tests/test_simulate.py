@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from concurrent.futures import Future
 
 import mpmath
 import numpy as np
@@ -171,6 +172,35 @@ class TestEstimateLaw:
                 tally[int(c)] += 1
         laws = estimate_law(cfg, workers=workers)
         assert [law.counts for law in laws] == [dict(tally) for tally in tallies]
+
+    def test_workers_capped_at_cpu_count(self, params_half, monkeypatch):
+        # a pool forks every worker on its first submit, so a huge --workers
+        # must not reach ProcessPoolExecutor; an inline pool runs the ranges
+        # in this process instead of starting any
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr("logbranch.simulate.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        cfg = SimConfig(params_half, (0.5, 1.0), 2_000, 11)
+        capped = estimate_law(cfg, workers=64)
+        assert pools == [2]
+        serial = estimate_law(cfg, workers=1)
+        assert [law.counts for law in capped] == [law.counts for law in serial]
 
     def test_rejects_bad_workers(self, params_half):
         cfg = SimConfig(params_half, (1.0,), 100, 7)
