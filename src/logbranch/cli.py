@@ -16,6 +16,10 @@ numerically (``NumericalDivergence``, ``PrecisionLoss``, with ``error: ...``
 on stderr), 2 usage or domain error, 3 population cap exceeded.  One command
 class, ``_Command``, maps the typed errors to these codes; the command bodies
 only raise them.
+
+The ``simulate`` and ``verify`` commands import their modules when they run:
+those load numpy, which takes longer to import than the rest of a start-up,
+and ``pmf``, ``limit`` and ``--help`` need none of it.
 """
 
 import csv
@@ -35,11 +39,11 @@ from .errors import (
     PopulationCapExceeded,
     PrecisionLoss,
 )
-from .model import ModelParams
-from .simulate import _MAX_POPULATION, SimConfig, estimate_law
-from .verify import _SUITES, run_suite
+from .model import _MAX_POPULATION, ModelParams
 
 SCHEMA_VERSION = "2"
+# the names of ``verify._SUITES``, in its order, for ``--suite``'s choices
+_SUITE_NAMES = ("closed-form", "ode", "table1", "limit")
 
 
 def _csv_text(value) -> str:
@@ -200,6 +204,8 @@ _HORIZON_SUMMARY = ["empirical_mean", "model_mean", "empirical_extinction",
 @_FORMAT
 def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt):
     """Monte Carlo histograms at each horizon, next to the closed-form law."""
+    from .simulate import SimConfig, estimate_law
+
     params = ModelParams(alpha, rate)
     try:
         horizons = tuple(float(x) for x in times.split(","))
@@ -233,11 +239,13 @@ def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt)
 
 
 @cli.command(cls=_Command)
-@click.option("--suite", type=click.Choice([*_SUITES, "all"]),
+@click.option("--suite", type=click.Choice([*_SUITE_NAMES, "all"]),
               default="all", show_default=True, help="which check suite to run")
 @_FORMAT
 def verify(suite, fmt):
     """Numerical cross-checks; exits 1 if any residual exceeds its tolerance."""
+    from .verify import run_suite
+
     results = run_suite(suite)
     columns = ["check", "residual", "tolerance", "passed"]
     rows = [[r.name, r.residual, r.tolerance, r.passed] for r in results]

@@ -21,60 +21,26 @@ Sampling is exact: a prefix of the CDF is tabulated from the pmf and inverted
 by bisection; draws falling past the table run rejection under a certified
 geometric envelope p(n+1) <= r p(n), the one tail path every sampled law
 here (both families and the offspring law) admits.
+
+Nothing here imports numpy when the module loads: the laws are stdlib
+``math``, and the closed form and the ``pmf`` and ``limit`` commands import
+this module, so they would otherwise pay numpy's start-up for nothing.  A
+sampler draws from whatever Generator it is handed, and only
+``draw_many``, which returns an array, imports numpy itself.
 """
 
 import bisect
 import math
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import ModelParams, offspring_pmf
 
-
-def streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """``stream(seed, i)`` for each i in ``range(start, stop)``, as one Generator.
-
-    A Philox stream is fully determined by its key and counter, so one Philox
-    is re-keyed in place to (seed, i) with a fresh counter and an empty
-    buffer: each yielded Generator draws exactly what ``stream(seed, i)``
-    would, without building a new one.  Each is valid only until the next
-    one is yielded.  The reused state holds plain ints rather than the uint64
-    arrays ``bitgen.state`` returns, since the setter reads them element by
-    element and an array would make a numpy scalar of each on every re-key.
-    """
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must fit in 64 bits, got {seed!r}")
-    if not 0 <= start <= stop <= 2**64:
-        raise DomainError(
-            f"stream indices must satisfy 0 <= start <= stop <= 2**64, got {start!r}, {stop!r}"
-        )
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    fresh = bitgen.state
-    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
-    fresh["buffer"] = fresh["buffer"].tolist()
-    key = fresh["state"]["key"]
-    rng = np.random.Generator(bitgen)
-
-    def rekeyed(index: int) -> np.random.Generator:
-        key[1] = index
-        bitgen.state = fresh
-        return rng
-
-    return map(rekeyed, range(start, stop))
-
-
-def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent counter-based RNG stream keyed by (seed, replicate index).
-
-    Philox streams with distinct keys never overlap, so replicate i of run
-    ``seed`` is reproducible in isolation regardless of scheduling.
-    """
-    return next(streams(seed, index, index + 1))
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _log_falling_mean(m: float, log_m: float, gap: float, n: int) -> float:
@@ -241,24 +207,25 @@ class InverseCdfSampler:
             total += pmf(support_start + len(cum))
             cum.append(total)
         self._cum = cum
-        self._cum_arr = np.array(cum)
         self._support_end = support_start + len(cum) - 1
 
-    def draw(self, rng: np.random.Generator) -> int:
+    def draw(self, rng: "np.random.Generator") -> int:
         u = rng.random()
         if u < self._cum[-1]:
             return self._support_start + bisect.bisect_right(self._cum, u)
         return self._reject_geometric(rng)
 
-    def draw_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw_many(self, rng: "np.random.Generator", size: int) -> "np.ndarray":
+        import numpy as np
+
         u = rng.random(size)
-        idx = np.searchsorted(self._cum_arr, u, side="right")
+        idx = np.searchsorted(self._cum, u, side="right")
         out = self._support_start + idx
         for pos in np.flatnonzero(idx == len(self._cum)):
             out[pos] = self._reject_geometric(rng)
         return out
 
-    def _reject_geometric(self, rng: np.random.Generator) -> int:
+    def _reject_geometric(self, rng: "np.random.Generator") -> int:
         edge = self._support_end
         r = self._ratio_bound
         p_next = self._pmf(edge + 1)

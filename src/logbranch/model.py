@@ -50,6 +50,11 @@ def critical_alpha() -> float:
 
 ALPHA_CRITICAL = critical_alpha()
 
+# default cap on a simulated replicate's population: ``SimConfig``'s default
+# and the CLI's ``--max-population`` default, kept here so that the CLI can
+# show it without importing the simulator
+_MAX_POPULATION = 10_000_000
+
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -22,12 +22,52 @@ from itertools import islice
 
 import numpy as np
 
-from .distributions import InverseCdfSampler, offspring_sampler, streams
+from .distributions import InverseCdfSampler, offspring_sampler
 from .errors import DomainError, PopulationCapExceeded
-from .model import ModelParams
+from .model import _MAX_POPULATION, ModelParams
 
 _PATH_BLOCK = 4096  # replicates whose paths are counted before they are split
-_MAX_POPULATION = 10_000_000  # default cap on any replicate's population
+
+
+def streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """``stream(seed, i)`` for each i in ``range(start, stop)``, as one Generator.
+
+    A Philox stream is fully determined by its key and counter, so one Philox
+    is re-keyed in place to (seed, i) with a fresh counter and an empty
+    buffer: each yielded Generator draws exactly what ``stream(seed, i)``
+    would, without building a new one.  Each is valid only until the next
+    one is yielded.  The reused state holds plain ints rather than the uint64
+    arrays ``bitgen.state`` returns, since the setter reads them element by
+    element and an array would make a numpy scalar of each on every re-key.
+    """
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must fit in 64 bits, got {seed!r}")
+    if not 0 <= start <= stop <= 2**64:
+        raise DomainError(
+            f"stream indices must satisfy 0 <= start <= stop <= 2**64, got {start!r}, {stop!r}"
+        )
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    fresh = bitgen.state
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
+    key = fresh["state"]["key"]
+    rng = np.random.Generator(bitgen)
+
+    def rekeyed(index: int) -> np.random.Generator:
+        key[1] = index
+        bitgen.state = fresh
+        return rng
+
+    return map(rekeyed, range(start, stop))
+
+
+def stream(seed: int, index: int = 0) -> np.random.Generator:
+    """Independent counter-based RNG stream keyed by (seed, replicate index).
+
+    Philox streams with distinct keys never overlap, so replicate i of run
+    ``seed`` is reproducible in isolation regardless of scheduling.
+    """
+    return next(streams(seed, index, index + 1))
 
 
 @dataclass(frozen=True)

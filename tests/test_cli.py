@@ -258,7 +258,7 @@ class TestVerifyCommand:
 
     def test_failure_exits_one(self, runner, monkeypatch):
         fake = [CheckResult("rigged", 1.0, 0.5, False)]
-        monkeypatch.setattr("logbranch.cli.run_suite", lambda name: fake)
+        monkeypatch.setattr("logbranch.verify.run_suite", lambda name: fake)
         result = runner.invoke(cli, ["verify", "--suite", "ode"])
         assert result.exit_code == 1
         assert "rigged" in result.output
@@ -307,7 +307,7 @@ _CAPPED = ["simulate", "--alpha", "0.5", "--k", "1", "--times", "10",
 def test_exit_code_map(split_runner, monkeypatch, args, fault, code, stderr):
     # each typed error becomes its exit code, with nothing on stdout
     if fault is not None:
-        monkeypatch.setattr("logbranch.cli.run_suite", _raise(fault))
+        monkeypatch.setattr("logbranch.verify.run_suite", _raise(fault))
     result = split_runner.invoke(cli, args, prog_name="logbranch")
     assert result.exit_code == code
     assert result.stdout == ""
