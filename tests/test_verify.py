@@ -166,6 +166,24 @@ class TestIntegration:
         assert survival_ode == pytest.approx(exact, rel=1e-8)
 
 
+class TestFloatState:
+    # a numpy scalar state runs every RK4 stage on numpy scalar arithmetic,
+    # about 2.4 times as slow as on a Python float
+    @pytest.mark.parametrize("drive", [
+        numeric_conditional_limit,
+        lambda mech: integrate_backward(mech, np.float64(0.25), 1.0, 0.01),
+    ])
+    def test_steps_run_on_python_floats(self, drive):
+        seen = []
+
+        def complement(g):
+            seen.append(type(g))
+            return 0.5 * g
+
+        drive(Mechanism("spy", 1.0, 0.5, complement=complement, limit_pgf=lambda s: s))
+        assert seen and set(seen) == {float}
+
+
 class TestImplicitSolution:
     def test_time_zero_is_exact(self, params_half):
         tp = params_half.at(0.0)
@@ -194,6 +212,18 @@ class TestConditionalLimits:
                          limit_pgf=lambda s: s)
         with pytest.raises(PrecisionLoss):
             numeric_conditional_limit(dead)
+
+    @pytest.mark.parametrize("factory", [
+        # alpha 1e-17 is in the domain, but its offspring mean rounds to 1.0
+        lambda: log_mixture_mechanism(ModelParams(1e-17, 1.0)),
+        lambda: replace(_GEOMETRIC, mean=1.0),
+        lambda: replace(_GEOMETRIC, mean=1.5),
+        lambda: replace(_GEOMETRIC, mean=math.nan),
+        lambda: replace(_GEOMETRIC, mean=-0.5),
+    ])
+    def test_unreachable_mean_target_rejected(self, factory):
+        with pytest.raises(DomainError, match="offspring mean"):
+            numeric_conditional_limit(factory())
 
     def test_table_closed_forms_at_endpoints(self):
         for mech in standard_mechanisms():
