@@ -11,6 +11,16 @@ Python call per cell cost more than the tables themselves, so each column of
 one type becomes text in one ``map``.  Every command writes one record: the
 schema version, the command name and its params, then its own fields.
 
+``pmf`` and ``limit`` evaluate their terms only up to the first exact 0.0
+at n >= 1, write every later row as 0.0 unevaluated, and sum the ``tail``
+row over the evaluated prefix.  This is exact because the terms are
+nonincreasing from n = 1 on: the ExtendedSibuya ratio b (n - gamma)/(n + 1)
+and the LogSeries ratio alpha n/(n + 1) are below alpha <
+``ALPHA_CRITICAL`` ≈ 0.7726, and the survival factor keeps the order.  The
+log-terms fall by at least |log 0.7726| ≈ 0.26 a step, far more than the
+rounding error of a computed term, so after one term underflows to 0.0 so
+does every later one.
+
 Exit codes: 0 success, 1 a verification check failed or the harness failed
 numerically (``NumericalDivergence``, ``PrecisionLoss``, with ``error: ...``
 on stderr), 2 usage or domain error, 3 population cap exceeded.  One command
@@ -117,11 +127,36 @@ def _sizes(start: int, nmax: int) -> range:
     return range(start, nmax + 1)
 
 
-def _echo_law(command, params, fmt, columns, sizes, values, *extra):
-    """A law's table: a row per size (``extra`` adds columns), then a
-    ``tail`` row holding the mass 1 - sum(values) past the last size."""
-    rows = list(zip(sizes, values, *extra))
-    tail = max(0.0, 1.0 - math.fsum(values))
+def _column(term, sizes, stop):
+    """``term(n)`` for each n in ``sizes``, evaluated in order only up to the
+    first n >= 1 where it returns ``stop``, and ``stop`` in every later row;
+    also the evaluated prefix.
+
+    Exact only where ``stop`` at some n >= 1 stays ``stop`` from there on: a
+    probability that underflows to 0.0 (the terms are nonincreasing from
+    n = 1, their logs falling by at least 0.26 a step; see the module
+    docstring), or a factorial moment past float range, given as None.  The
+    guard is n >= 1 because at t = 0, P(X = 0) is 0 and P(X = 1) is 1.
+    """
+    prefix = []
+    for n in sizes:
+        value = term(n)
+        prefix.append(value)
+        if value == stop and n >= 1:
+            break
+    return prefix + [stop] * (len(sizes) - len(prefix)), prefix
+
+
+def _echo_law(command, params, fmt, columns, sizes, term, *extra):
+    """A law's table: a row per size of ``term(n)`` and of each ``(term,
+    stop)`` column in ``extra``, both through ``_column``, then a ``tail``
+    row holding the mass 1 - sum of the probabilities past the last size,
+    summed over the evaluated prefix: the rows after it are exact zeros.
+    """
+    probs, evaluated = _column(term, sizes, 0.0)
+    rows = list(zip(sizes, probs,
+                    *(_column(other, sizes, stop)[0] for other, stop in extra)))
+    tail = max(0.0, 1.0 - math.fsum(evaluated))
     tail_row = ["tail", tail, *[None] * len(extra)]
     _echo_record(command, params, fmt, columns, rows, [tail_row],
                  columns=columns, rows=rows, tail_mass=tail)
@@ -157,7 +192,7 @@ def pmf(alpha, rate, time_, nmax, conditional, fmt):
         term = closed_form._pmf_term(params, tp)
     _echo_law("pmf", {"alpha": alpha, "k": rate, "t": time_, "nmax": nmax,
                       "conditional": conditional},
-              fmt, ["n", "probability"], sizes, list(map(term, sizes)))
+              fmt, ["n", "probability"], sizes, term)
 
 
 @cli.command(cls=_Command)
@@ -168,20 +203,19 @@ def limit(alpha, nmax, fmt):
     """Long-time law conditioned on survival (logarithmic series), with its
     factorial moments; moments past float range are left empty."""
     law = LogSeries(ModelParams(alpha, 1.0).alpha)
-    sizes = _sizes(1, nmax)
-    moments = []
-    for n in sizes:
+
+    def moment(n):
+        # log E[[N]_n] stays below log 4.4 while n <= (1 - alpha)/alpha and
+        # rises by log(n alpha/(1 - alpha)) > 0 a step after that, so once a
+        # moment overflows every later one does too
         try:
-            moments.append(law.factorial_moment(n))
+            return law.factorial_moment(n)
         except OverflowError:
-            # log E[[N]_n] stays below log 4.4 while n <= (1 - alpha)/alpha
-            # and rises by log(n alpha/(1 - alpha)) > 0 a step after that, so
-            # once a moment overflows every later one does too
-            break
-    moments += [None] * (nmax - len(moments))
+            return None
+
     _echo_law("limit", {"alpha": alpha, "nmax": nmax}, fmt,
-              ["n", "probability", "factorial_moment"], sizes,
-              list(map(law.pmf, sizes)), moments)
+              ["n", "probability", "factorial_moment"], _sizes(1, nmax),
+              law.pmf, (moment, None))
 
 
 _HORIZON_COLUMNS = ["n", "count", "empirical_prob", "model_prob"]

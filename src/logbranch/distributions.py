@@ -159,7 +159,14 @@ class LogSeries:
     def pmf(self, n: int) -> float:
         if n < 1:
             raise DomainError(f"support starts at 1, got {n!r}")
-        return self.alpha**n / (self.log_norm * n)
+        power = self.alpha**n
+        scale = self.log_norm * n
+        if power < sys.float_info.min and scale < 1.0:
+            # alpha^n fell below the normal range, losing bits that the
+            # division by A n < 1 would scale back up (at alpha 1e-200,
+            # pmf(2) came out 0.0); alpha/A is near 1 and loses none
+            return (self.alpha / self.log_norm) * self.alpha ** (n - 1) / n
+        return power / scale
 
     def factorial_moment(self, n: int) -> float:
         """E[[N]_n] = ((n-1)!/A) (alpha/(1-alpha))^n; OverflowError when it

@@ -127,12 +127,20 @@ class OdeSolution:
         return float(self.values[idx])
 
 
+# most steps one solve may take, at about 60 bytes a step (600 MB); the
+# largest solve measured, ``numeric_conditional_limit`` at alpha 1e-3, takes
+# 691,122 steps, and alpha 1e-6 would ask for 6.9e8 (about 40 GB)
+_MAX_STEPS = 10_000_000
+
+
 def _rk4(mech: Mechanism, x0: float, t_end: float, step: float) -> OdeSolution:
     """RK4 for dG/dt = rate (phi(G) - G) from G(0) = x0; each stage evaluates
     the drift inline, so a stage costs one Python call, to phi.
 
     The state starts as ``float(x0)``: a numpy scalar start would carry numpy
-    scalar arithmetic, about 2.4 times as slow, through every stage.
+    scalar arithmetic, about 2.4 times as slow, through every stage.  Raises
+    DomainError, before any allocation, when t_end/step exceeds
+    ``_MAX_STEPS``.
     """
     if not 0.0 < t_end < math.inf:
         raise DomainError(
@@ -140,6 +148,9 @@ def _rk4(mech: Mechanism, x0: float, t_end: float, step: float) -> OdeSolution:
         )
     if not 0.0 < step < math.inf:
         raise DomainError(f"step must be positive and finite, got {step!r}")
+    if t_end / step > _MAX_STEPS:
+        raise DomainError(f"horizon {t_end!r} at step {step!r} needs more than "
+                          f"the step budget of {_MAX_STEPS} steps")
     n_full = int(t_end / step)
     remainder = t_end - n_full * step
     steps = [step] * n_full
@@ -226,7 +237,9 @@ def numeric_conditional_limit(mech: Mechanism) -> np.ndarray:
     Raises DomainError unless the offspring mean lies in [0, 1), where the
     mean target is reached in finite time, and PrecisionLoss when survival
     falls below 1e-12, past which the conditional ratio cannot be trusted at
-    the advertised accuracy.
+    the advertised accuracy.  An offspring mean so close to 1 that a solve
+    needs more than ``_MAX_STEPS`` steps (alpha 1e-6 in this package's model)
+    raises DomainError from ``_rk4`` before any step.
     """
     if not 0.0 <= mech.mean < 1.0:
         raise DomainError(

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,16 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logbranch import ALPHA_CRITICAL, LogSeries, conditional_family, pmf
+from logbranch import (
+    ALPHA_CRITICAL,
+    ExtendedSibuya,
+    LogSeries,
+    ModelParams,
+    conditional_family,
+    pmf,
+)
 from logbranch.cli import _render, cli
-from logbranch.errors import NumericalDivergence, PrecisionLoss
+from logbranch.errors import DomainError, NumericalDivergence, PrecisionLoss
 from logbranch.verify import CheckResult
 
 
@@ -29,6 +37,14 @@ def _rows(output):
     reader = csv.reader(io.StringIO(output))
     header = next(reader)
     return header, list(reader)
+
+
+# the pmf and limit tables cross their first exact-zero term before
+# _CUT_NMAX at each of these; 5e-324 and 1e-300 leave M = 1 at every t, and
+# 1e-200 and 1e-160 take LogSeries.pmf's rescaled branch
+_CUT_ALPHAS = [5e-324, 1e-300, 1e-200, 1e-160, 1e-20, 1e-3, 0.05, 0.5,
+               math.nextafter(ALPHA_CRITICAL, 0.0)]
+_CUT_NMAX = 3000
 
 
 class TestPmfCommand:
@@ -126,29 +142,106 @@ class TestLimitCommand:
         ).output)
         assert record["rows"][198][2] is None
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.77,
-                                       math.nextafter(ALPHA_CRITICAL, 0.0)])
+    @pytest.mark.parametrize("alpha", [*_CUT_ALPHAS, 0.77])
     def test_rows_past_overflow_match_each_row_tried(self, runner, alpha):
-        # the table stops calling factorial_moment at its first overflow;
-        # every row must still be what a try per row gives
-        nmax = 400
+        # the table stops calling factorial_moment at its first overflow and
+        # pmf at its first exact zero; every row, and the tail, must still be
+        # what a try per row gives
         law = LogSeries(alpha)
         expected = []
-        for n in range(1, nmax + 1):
+        for n in range(1, _CUT_NMAX + 1):
             try:
                 moment = law.factorial_moment(n)
             except OverflowError:
                 moment = None
             expected.append([n, law.pmf(n), moment])
-        assert expected[0][2] is not None and expected[-1][2] is None
-        result = runner.invoke(cli, ["limit", "--alpha", repr(alpha), "--nmax",
-                                     str(nmax), "--format", "json"])
-        assert result.exit_code == 0
-        assert json.loads(result.output)["rows"] == expected
+        assert expected[0][2] is not None and expected[-1][1] == 0.0
+        if alpha >= 0.05:
+            # below that the moments stay finite up to _CUT_NMAX
+            assert expected[-1][2] is None
+        record = _json_record(runner, ["limit", "--alpha", repr(alpha),
+                                       "--nmax", str(_CUT_NMAX)])
+        assert record["rows"] == expected
+        assert record["tail_mass"] == max(0.0, 1.0 - math.fsum(r[1] for r in expected))
 
     def test_rejects_bad_nmax(self, runner):
         result = runner.invoke(cli, ["limit", "--alpha", "0.5", "--nmax", "0"])
         assert result.exit_code == 2
+
+
+def _cut_times(params):
+    """t = 0, a t > 0 where M rounds to 1, the t where M = 1/2 and the last
+    t before ``ModelParams.at`` rejects M; the last two only where M can
+    leave 1."""
+    times = [0.0, 1e-300]
+    if params.malthusian_rate < 0.0:
+        times.append(math.log(0.5) / params.malthusian_rate)
+        floor = sys.float_info.min / min(1.0, params.log_norm)
+        t = math.log(floor) / params.malthusian_rate
+        for _ in range(1000):
+            try:
+                params.at(t)
+                break
+            except DomainError:
+                t = math.nextafter(t, 0.0)
+        with pytest.raises(DomainError):
+            params.at(math.nextafter(t, math.inf))
+        times.append(t)
+    assert params.at(1e-300).mean == 1.0
+    return times
+
+
+def _json_record(runner, args):
+    result = runner.invoke(cli, [*args, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    return json.loads(result.output)
+
+
+class TestZeroCut:
+    # the tables stop evaluating at their first exact-zero probability; every
+    # row, and the tail, must still be what evaluating every row gives
+    @pytest.mark.parametrize("alpha", _CUT_ALPHAS)
+    @pytest.mark.parametrize("rate", [1e-3, 1.0, 1e3])
+    def test_pmf_rows_match_each_term(self, runner, alpha, rate):
+        params = ModelParams(alpha, rate)
+        for t in _cut_times(params):
+            tp = params.at(t)
+            laws = [(False, partial(pmf, params, tp), range(_CUT_NMAX + 1))]
+            if t > 0.0:
+                laws.append((True, conditional_family(params, tp).pmf,
+                             range(1, _CUT_NMAX + 1)))
+            for conditional, term, sizes in laws:
+                args = ["pmf", "--alpha", repr(alpha), "--k", repr(rate),
+                        "--t", repr(t), "--nmax", str(_CUT_NMAX)]
+                record = _json_record(runner, args + ["--conditional"] * conditional)
+                probs = [term(n) for n in sizes]
+                assert probs[-1] == 0.0
+                assert record["rows"] == [[n, p] for n, p in zip(sizes, probs)]
+                assert record["tail_mass"] == max(0.0, 1.0 - math.fsum(probs))
+
+    @pytest.mark.parametrize("args", [
+        ["pmf", "--k", "1", "--t", "1"],
+        ["pmf", "--k", "1", "--t", "1", "--conditional"],
+        ["limit"],
+    ])
+    def test_rows_past_first_zero_cost_no_term(self, runner, monkeypatch, args):
+        # at alpha 0.05 the terms reach 0.0 near n = 250
+        calls = []
+        for family in (ExtendedSibuya, LogSeries):
+            monkeypatch.setattr(family, "pmf", _counted(family.pmf, calls))
+        result = runner.invoke(cli, [args[0], "--alpha", "0.05", *args[1:],
+                                     "--nmax", "100000"])
+        assert result.exit_code == 0
+        assert 0 < len(calls) < 300
+        _, rows = _rows(result.output)
+        assert rows[-2][:2] == ["100000", "0"]
+
+
+def _counted(method, calls):
+    def counted(self, n):
+        calls.append(n)
+        return method(self, n)
+    return counted
 
 
 class TestSimulateCommand:

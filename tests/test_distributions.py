@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,26 @@ class TestLogSeries:
         head = math.fsum(law.pmf(n) for n in range(1, 400))
         tail_bound = law.pmf(400) * a / (1.0 - a)
         assert abs(1.0 - head) <= tail_bound + 1e-10
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-300, 1e-200, 1e-160, 1e-100,
+                                   1e-20, 1e-3, 0.05])
+    def test_tiny_alpha_matches_mpmath(self, a):
+        # alpha^n / (A n) once underflowed before the division by A n < 1:
+        # pmf(2) at alpha 1e-200 came out 0.0, not 5e-201.  Normal values
+        # must hold 1e-13 relative, subnormal ones one unit in the last place
+        law = LogSeries(a)
+        with mpmath.workdps(50):
+            alpha = mpmath.mpf(a)
+            norm = -mpmath.log1p(-alpha)
+            for n in range(1, 2000):
+                exact = alpha**n / (norm * n)
+                value = law.pmf(n)
+                if exact >= sys.float_info.min:
+                    assert abs(value - exact) <= 1e-13 * exact
+                else:
+                    assert abs(value - exact) <= 5e-324
+                if exact < 1e-330:
+                    break
 
     def test_pgf_series(self):
         law = LogSeries(0.5)

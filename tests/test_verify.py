@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -164,6 +165,25 @@ class TestIntegration:
         survival_ode = integrate_complement(mech, 1.0, t_end, 0.01).final
         exact = survival_prob(params_half, params_half.at(t_end))
         assert survival_ode == pytest.approx(exact, rel=1e-8)
+
+
+class TestStepBudget:
+    # each input asks for far more steps than the budget; the error must come
+    # before the step list or the time grid is allocated, so the peak traced
+    # allocation stays far below a budget's worth (about 600 MB)
+    @pytest.mark.parametrize("solve", [
+        lambda: integrate_backward(_LOG_MIXTURE, 0.5, 1.0, 1e-300),
+        lambda: numeric_conditional_limit(log_mixture_mechanism(ModelParams(1e-6, 1.0))),
+    ])
+    def test_raises_before_allocating(self, solve):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="step budget"):
+                solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestFloatState:
