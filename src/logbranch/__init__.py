@@ -10,12 +10,13 @@ discrete laws that are its conditional law given survival
 The closed form needs only ``math``; numpy is needed by the simulator (its
 Philox streams) and the ODE harness (its grids and seeded check points), and
 importing numpy costs more than the rest of a start-up.  So the names of
-``simulate`` and ``verify`` are resolved on first access (PEP 562):
-``import logbranch``, the closed-form laws and building a sampler never load
-numpy.
+``simulate`` are resolved on first access (PEP 562), and the check harness
+is imported from ``logbranch.verify`` itself: ``import logbranch``, the
+closed-form laws and building a sampler never load numpy.
 """
 
 import importlib
+import types
 
 from .closed_form import (
     DiscreteLaw,
@@ -54,41 +55,24 @@ from .model import (
     offspring_pmf,
 )
 
-# each late name and the submodule that defines it
-_LATE = {
-    name: module
-    for module, names in (
-        ("simulate", ("EmpiricalLaw", "SimConfig", "estimate_law", "simulate_counts",
-                      "stream", "streams")),
-        ("verify", ("CheckResult", "Mechanism", "check_implicit_solution",
-                    "closed_form_suite", "integrate_backward", "integrate_complement",
-                    "limit_suite", "log_mixture_mechanism", "numeric_conditional_limit",
-                    "ode_suite", "run_suite", "standard_mechanisms", "table1_suite")),
-    )
-    for name in names
-}
+# the names of ``simulate``, resolved on first access
+_LATE = ("EmpiricalLaw", "SimConfig", "estimate_law", "simulate_counts",
+         "stream", "streams")
 
-__all__ = [
-    "DiscreteLaw", "conditional_family", "conditional_law_at", "conditional_pmf",
-    "extinction_prob", "law_at", "limit_law", "limit_law_factorial_moment",
-    "limit_law_pmf", "pgf_at", "pgf_complement", "pmf", "survival_prob",
-    "tv_distance",
-    "ExtendedSibuya", "InverseCdfSampler", "LogSeries", "offspring_sampler",
-    "DomainError", "NumericalDivergence", "PopulationCapExceeded", "PrecisionLoss",
-    "ALPHA_CRITICAL", "ModelParams", "TimePoint", "critical_alpha",
-    "infinitesimal_gen", "offspring_pmf",
-    *_LATE,
-]
+# every name imported above except the modules, then the late names
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+__all__ += _LATE
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Import the submodule that defines a late name, and keep the value
-    here so that later lookups are plain attribute reads."""
+    """Import ``simulate`` for a late name, and keep the value here so that
+    later lookups are plain attribute reads."""
     if name not in _LATE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LATE[name]}", __name__), name)
+    value = getattr(importlib.import_module(".simulate", __name__), name)
     globals()[name] = value
     return value
 

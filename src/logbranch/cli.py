@@ -255,7 +255,7 @@ def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt)
             "time": law.time,
             "empirical_mean": law.mean(),
             "model_mean": tp.mean,
-            "empirical_extinction": law.extinction_freq(),
+            "empirical_extinction": law.prob(0),
             "model_extinction": closed_form.extinction_prob(params, tp),
             "columns": _HORIZON_COLUMNS,
             "rows": [[n, law.counts[n], law.prob(n), model_pmf(n)]

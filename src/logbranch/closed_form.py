@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 from .distributions import ExtendedSibuya, LogSeries
 from .errors import DomainError, PrecisionLoss
-from .model import ModelParams, TimePoint
-
-
-def _log_ratio(params: ModelParams, s: float) -> float:
-    # log R(s) = log((1 - alpha s)/(1 - alpha)), stable for s in [-1, 1]
-    return math.log1p(params.alpha * (1.0 - s) / (1.0 - params.alpha))
+from .model import ModelParams, TimePoint, _log_ratio
 
 
 def pgf_complement(params: ModelParams, tp: TimePoint, s: float) -> float:

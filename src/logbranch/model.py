@@ -133,16 +133,28 @@ def offspring_pmf(params: ModelParams, n: int) -> float:
     return (a / params.log_norm) * a**n / (n * (n - 1.0))
 
 
+def _log_ratio(params: ModelParams, s: float) -> float:
+    # log R(s) = log((1 - alpha s)/(1 - alpha)) = A + log(1 - alpha s),
+    # without cancellation for s in [-1, 1]
+    return math.log1p(params.alpha * (1.0 - s) / (1.0 - params.alpha))
+
+
 def infinitesimal_gen(params: ModelParams, s: float) -> float:
     """Jump-rate function f(s) = rate * (h(s) - s) in its factored form.
 
-    Computed as (rate * alpha / A) (1 - alpha s) log1p(alpha(1-s)/(1-alpha));
-    the log1p factor equals A + log(1 - alpha s) without cancellation, so
-    f(1) = 0 holds exactly.
+    Computed as (rate * alpha / A) (1 - alpha s) log R(s), where
+    log R(s) = log1p(alpha(1-s)/(1-alpha)) equals A + log(1 - alpha s)
+    without cancellation, so f(1) = 0 holds exactly.  Raises OverflowError
+    when f(s) exceeds float range (rate near the float maximum, s < 0).
     """
     if not abs(s) <= 1.0:
         raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
     a = params.alpha
-    stable_log = math.log1p(a * (1.0 - s) / (1.0 - a))
-    return (params.rate * a / params.log_norm) * (1.0 - a * s) * stable_log
-
+    log_r = _log_ratio(params, s)
+    value = (params.rate * a / params.log_norm) * (1.0 - a * s) * log_r
+    if value == math.inf:
+        # the leading product can overflow where f(s) itself does not
+        value = params.rate * (a / params.log_norm * (1.0 - a * s) * log_r)
+        if value == math.inf:
+            raise OverflowError(f"f({s!r}) exceeds float range at rate {params.rate!r}")
+    return value

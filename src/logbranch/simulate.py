@@ -166,9 +166,6 @@ class EmpiricalLaw:
     def mean(self) -> float:
         return math.fsum(n * c for n, c in self.counts.items()) / self.replicates
 
-    def extinction_freq(self) -> float:
-        return self.counts.get(0, 0) / self.replicates
-
 
 def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
     """Per-horizon histograms of replicates ``start`` to ``stop``.

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,3 +218,21 @@ class TestInfinitesimalGen:
     def test_nonnegative_below_one(self, alpha, s):
         # subcritical drift pushes the pgf flow up toward 1
         assert infinitesimal_gen(ModelParams(alpha, 1.0), s) >= 0.0
+
+    @pytest.mark.parametrize("alpha, s", [(0.5, -1.0), (0.77, -0.5)])
+    def test_raises_past_float_range(self, alpha, s):
+        # f(s) is about 2.0e308 and 2.2e308 here, past the largest float
+        with pytest.raises(OverflowError, match="float range"):
+            infinitesimal_gen(ModelParams(alpha, 1.7e308), s)
+
+    @pytest.mark.parametrize("alpha", [0.15, 0.3])
+    def test_finite_where_leading_product_overflows(self, alpha):
+        # rate alpha/A (1 - alpha s) overflows at s = -1, but f(-1) is
+        # 5.5e307 and 1.2e308, so the value must still come back finite
+        rate = 1.7e308
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            exact = (rate * a / -mpmath.log1p(-a) * (1 + a)
+                     * mpmath.log1p(2 * a / (1 - a)))
+            assert infinitesimal_gen(ModelParams(alpha, rate), -1.0) == pytest.approx(
+                float(exact), rel=1e-14)

@@ -213,8 +213,8 @@ class TestEstimateLaw:
         # acceptance gate checks each horizon's extinction mass and mean
         previous_ext = 0.0
         for law in laws:
-            assert law.extinction_freq() > previous_ext
-            previous_ext = law.extinction_freq()
+            assert law.prob(0) > previous_ext
+            previous_ext = law.prob(0)
 
     def test_grid_gof(self, gof_pvalue):
         for alpha, rate in ((0.3, 0.5), (0.6, 2.0)):
@@ -262,5 +262,5 @@ class TestEmpiricalLaw:
         law = EmpiricalLaw(1.0, {0: 2, 1: 5, 3: 3}, 10)
         assert law.prob(1) == 0.5
         assert law.prob(99) == 0.0
-        assert law.extinction_freq() == 0.2
+        assert law.prob(0) == 0.2
         assert law.mean() == pytest.approx(1.4)

@@ -1,8 +1,11 @@
-"""The closed-form path starts without numpy, and the names that need it
-still resolve from ``logbranch`` on first access."""
+"""The closed-form path starts without numpy, the simulator's names still
+resolve from ``logbranch`` on first access, and the check harness is served
+from ``logbranch.verify`` only."""
 
+import importlib
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -48,10 +51,25 @@ def test_closed_form_path_starts_without_numpy():
 
 def test_every_public_name_resolves():
     listed = set(dir(logbranch))
+    submodules = [importlib.import_module(f"logbranch.{name}")
+                  for name in ("closed_form", "distributions", "errors", "model", "simulate")]
     for name in logbranch.__all__:
-        assert getattr(logbranch, name) is not None
+        value = getattr(logbranch, name)
+        assert value is not None
         assert name in listed
+        # the derived list holds no module and nothing that __init__ imports
+        # for itself: every entry is defined by one of the package's modules
+        assert not isinstance(value, types.ModuleType), name
+        assert any(vars(module).get(name) is value for module in submodules), name
     assert len(set(logbranch.__all__)) == len(logbranch.__all__)
+
+
+def test_check_harness_only_in_verify():
+    # the harness is imported from logbranch.verify, not from the package
+    for name in ("run_suite", "integrate_backward", "CheckResult", "Mechanism"):
+        assert hasattr(verify, name)
+        assert name not in logbranch.__all__
+        assert not hasattr(logbranch, name)
 
 
 def test_unknown_name_raises_attribute_error():

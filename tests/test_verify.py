@@ -10,19 +10,21 @@ from logbranch import (
     ModelParams,
     NumericalDivergence,
     PrecisionLoss,
-    check_implicit_solution,
     infinitesimal_gen,
+    pgf_at,
+    pgf_complement,
+    survival_prob,
+)
+from logbranch.verify import (
+    Mechanism,
+    check_implicit_solution,
     integrate_backward,
     integrate_complement,
     log_mixture_mechanism,
     numeric_conditional_limit,
-    pgf_at,
-    pgf_complement,
     run_suite,
     standard_mechanisms,
-    survival_prob,
 )
-from logbranch.verify import Mechanism
 
 _LOG_MIXTURE, _GEOMETRIC, _BINARY, _LINEAR = standard_mechanisms()
 
