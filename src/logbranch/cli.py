@@ -6,20 +6,23 @@ columns alongside), and ``verify`` (numerical cross-check suites).
 
 Output is CSV by default (RFC 4180, floats at 10 significant digits) or JSON
 with ``--format json``: ``json.dumps(record)`` on one line (each float as the
-shortest repr that round-trips exactly).  CSV is written a column at a time: a
-Python call per cell cost more than the tables themselves, so each column of
-one type becomes text in one ``map``.  Every command writes one record: the
-schema version, the command name and its params, then its own fields.
+shortest repr that round-trips exactly).  CSV is the bytes ``csv.writer``
+writes, but each row is one ``%`` through a template built per table from
+its columns' types: a Python call per cell cost more than the tables
+themselves.  Every command writes one record: the schema version, the
+command name and its params, then its own fields.
 
 ``pmf`` and ``limit`` evaluate their terms only up to the first exact 0.0
-at n >= 1, write every later row as 0.0 unevaluated, and sum the ``tail``
-row over the evaluated prefix.  This is exact because the terms are
-nonincreasing from n = 1 on: the ExtendedSibuya ratio b (n - gamma)/(n + 1)
-and the LogSeries ratio alpha n/(n + 1) are below alpha <
-``ALPHA_CRITICAL`` ≈ 0.7726, and the survival factor keeps the order.  The
-log-terms fall by at least |log 0.7726| ≈ 0.26 a step, far more than the
-rounding error of a computed term, so after one term underflows to 0.0 so
-does every later one.
+at n >= 1 and sum the ``tail`` row over the evaluated prefix.  This is exact
+because the terms are nonincreasing from n = 1 on: the ExtendedSibuya ratio
+b (n - gamma)/(n + 1) and the LogSeries ratio alpha n/(n + 1) are below
+alpha < ``ALPHA_CRITICAL`` ≈ 0.7726, and the survival factor keeps the
+order.  The log-terms fall by at least |log 0.7726| ≈ 0.26 a step, far more
+than the rounding error of a computed term, so after one term underflows to
+0.0 so does every later one.  Their rows are built only until every column
+holds its stop value (probability 0.0, a moment past float range); the rest
+of the table is written as one string per format, one ``%`` a row and no
+row built, so a large ``--nmax`` costs little more than the text it writes.
 
 Exit codes: 0 success, 1 a verification check failed or the harness failed
 numerically (``NumericalDivergence``, ``PrecisionLoss``, with ``error: ...``
@@ -32,12 +35,9 @@ those load numpy, which takes longer to import than the rest of a start-up,
 and ``pmf``, ``limit`` and ``--help`` need none of it.
 """
 
-import csv
-import io
 import json
 import math
 import sys
-from itertools import repeat
 
 import click
 
@@ -54,49 +54,76 @@ from .model import _MAX_POPULATION, ModelParams
 SCHEMA_VERSION = "2"
 # the names of ``verify._SUITES``, in its order, for ``--suite``'s choices
 _SUITE_NAMES = ("closed-form", "ode", "table1", "limit")
+# a JSON row no record holds, standing for where ``_render`` writes a run
+_RUN_MARK = "\x00run"
 
 
-def _csv_text(value) -> str:
-    """One CSV cell: bools as true/false, floats at 10 significant digits,
-    None empty."""
+def _csv_cell(value) -> str:
+    """One CSV cell as ``csv.writer``'s excel dialect writes it: bools as
+    true/false, floats at 10 significant digits, None empty, anything else
+    as ``str``, quoted with its quotes doubled where it holds a comma, a
+    quote or a line break."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".10g")
     if value is None:
         return ""
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
 
 
-def _column_text(column):
-    """The cells of one column as CSV text: one ``map`` over plain ints or
-    plain floats, a conversion per cell in any other column."""
-    kinds = set(map(type, column))
-    if kinds == {int}:
-        return map(int.__repr__, column)
-    if kinds == {float}:
-        return map(format, column, repeat(".10g"))
-    return map(_csv_text, column)
+def _csv_rows(rows) -> str:
+    """A table of equal-length rows as CSV, each row through one %-template
+    built from its columns' types: ``%d`` for a column of plain ints and
+    ``%.10g`` for one of plain floats (what ``_csv_cell`` writes for them),
+    ``%s`` over the ``_csv_cell`` of each cell of any other column."""
+    columns = list(zip(*rows))
+    if not columns:
+        return "\r\n" * len(rows)
+    formats = []
+    for i, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            formats.append("%d")
+        elif kinds == {float}:
+            formats.append("%.10g")
+        else:
+            formats.append("%s")
+            columns[i] = [_csv_cell(value) for value in column]
+    if formats == ["%s"]:
+        # csv.writer quotes a row's only cell when it is empty
+        columns[0] = [cell or '""' for cell in columns[0]]
+    template = ",".join(formats) + "\r\n"
+    return "".join(map(template.__mod__, zip(*columns)))
 
 
-def _cells(rows):
-    """The rows of a table of equal-length rows as tuples of CSV cell text,
-    converted column by column."""
-    columns = [_column_text(column) for column in zip(*rows)]
-    return zip(*columns) if columns else [()] * len(rows)
-
-
-def _render(record, fmt, columns, *tables) -> str:
+def _render(record, fmt, columns, *tables, run=(range(0), ())) -> str:
     """A command's output: ``record`` as JSON, or the header ``columns`` and
-    then the rows of each table as CSV."""
+    then the rows of each table as CSV.
+
+    ``run``, a ``(sizes, stops)`` pair, stands for the rows ``(n, *stops)``
+    for n in ``sizes`` (numbers or None as stops), after ``record["rows"]``
+    in JSON and after the first table in CSV: a law's rows past the point
+    where every column holds its stop value.  They are never built; each
+    format writes them through one %-template over ``sizes``.
+    """
+    sizes, stops = run
     if fmt == "json":
-        return json.dumps(record) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for rows in tables:
-        writer.writerows(_cells(rows))
-    return buf.getvalue()
+        if not sizes:
+            return json.dumps(record) + "\n"
+        template = ", [%s]" % ", ".join(["%d", *map(json.dumps, stops)])
+        # a marker row after the built rows, which the run's text replaces
+        text = json.dumps({**record, "rows": [*record["rows"], _RUN_MARK]})
+        return text.replace(", " + json.dumps(_RUN_MARK),
+                            "".join(map(template.__mod__, sizes)), 1) + "\n"
+    parts = [_csv_rows([columns]), *map(_csv_rows, tables)]
+    if sizes:
+        template = ",".join(["%d", *map(_csv_cell, stops)]) + "\r\n"
+        parts.insert(2, "".join(map(template.__mod__, sizes)))
+    return "".join(parts)
 
 
 class _Command(click.Command):
@@ -113,12 +140,14 @@ class _Command(click.Command):
             ctx.exit(3 if isinstance(exc, PopulationCapExceeded) else 1)
 
 
-def _echo_record(command, params, fmt, header, *tables, **fields):
+def _echo_record(command, params, fmt, header, *tables, run=(range(0), ()),
+                 **fields):
     """Write one command's record (schema version, command name, params, then
-    ``fields``) as JSON, or the CSV ``header`` and then ``tables``."""
+    ``fields``) as JSON, or the CSV ``header`` and then ``tables``; ``run`` as
+    in ``_render``."""
     record = {"schema_version": SCHEMA_VERSION, "command": command,
               "params": params, **fields}
-    click.echo(_render(record, fmt, header, *tables), nl=False)
+    click.echo(_render(record, fmt, header, *tables, run=run), nl=False)
 
 
 def _sizes(start: int, nmax: int) -> range:
@@ -127,38 +156,47 @@ def _sizes(start: int, nmax: int) -> range:
     return range(start, nmax + 1)
 
 
-def _column(term, sizes, stop):
-    """``term(n)`` for each n in ``sizes``, evaluated in order only up to the
-    first n >= 1 where it returns ``stop``, and ``stop`` in every later row;
-    also the evaluated prefix.
+def _column(term, sizes, stop) -> list:
+    """``term(n)`` for each n in ``sizes``, evaluated in order up to and
+    including the first n >= 1 where it returns ``stop``; the caller writes
+    ``stop`` in every later row.
 
-    Exact only where ``stop`` at some n >= 1 stays ``stop`` from there on: a
-    probability that underflows to 0.0 (the terms are nonincreasing from
-    n = 1, their logs falling by at least 0.26 a step; see the module
-    docstring), or a factorial moment past float range, given as None.  The
-    guard is n >= 1 because at t = 0, P(X = 0) is 0 and P(X = 1) is 1.
+    That is exact only where ``stop`` at some n >= 1 stays ``stop`` from
+    there on: a probability that underflows to 0.0 (the terms are
+    nonincreasing from n = 1, their logs falling by at least 0.26 a step;
+    see the module docstring), or a factorial moment past float range, given
+    as None.  The guard is n >= 1 because at t = 0, P(X = 0) is 0 and
+    P(X = 1) is 1.
     """
-    prefix = []
+    values = []
     for n in sizes:
         value = term(n)
-        prefix.append(value)
+        values.append(value)
         if value == stop and n >= 1:
             break
-    return prefix + [stop] * (len(sizes) - len(prefix)), prefix
+    return values
 
 
 def _echo_law(command, params, fmt, columns, sizes, term, *extra):
     """A law's table: a row per size of ``term(n)`` and of each ``(term,
     stop)`` column in ``extra``, both through ``_column``, then a ``tail``
-    row holding the mass 1 - sum of the probabilities past the last size,
-    summed over the evaluated prefix: the rows after it are exact zeros.
+    row holding the mass 1 - sum of the probabilities past the last size.
+
+    Rows are built only up to the size where every column has reached its
+    stop value (probability 0.0, moment None); the rest go to ``_render`` as
+    a run, and the tail is summed over the evaluated probabilities, since
+    the rest are 0.
     """
-    probs, evaluated = _column(term, sizes, 0.0)
-    rows = list(zip(sizes, probs,
-                    *(_column(other, sizes, stop)[0] for other, stop in extra)))
-    tail = max(0.0, 1.0 - math.fsum(evaluated))
+    stops = (0.0, *(stop for _, stop in extra))
+    evaluated = [_column(term, sizes, 0.0),
+                 *(_column(other, sizes, stop) for other, stop in extra)]
+    built = max(map(len, evaluated))
+    rows = list(zip(sizes[:built], *(values + [stop] * (built - len(values))
+                                     for values, stop in zip(evaluated, stops))))
+    tail = max(0.0, 1.0 - math.fsum(evaluated[0]))
     tail_row = ["tail", tail, *[None] * len(extra)]
     _echo_record(command, params, fmt, columns, rows, [tail_row],
+                 run=(sizes[built:], stops),
                  columns=columns, rows=rows, tail_mass=tail)
 
 

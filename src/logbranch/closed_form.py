@@ -33,7 +33,9 @@ def pgf_complement(params: ModelParams, tp: TimePoint, s: float) -> float:
     """1 - F(t, s) = ((1 - alpha)/alpha) * (R(s)^M - 1), the survival-side form.
 
     expm1 keeps full relative precision as M -> 0 or s -> 1, where the
-    direct difference would cancel.
+    direct difference would cancel.  The value is at most 2, as F >= -1;
+    where M is near 1 and s near -1, rounding can carry it an ulp or two
+    past that, so it is capped there.
     """
     if not abs(s) <= 1.0:
         raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s!r}")
@@ -42,7 +44,7 @@ def pgf_complement(params: ModelParams, tp: TimePoint, s: float) -> float:
     if scale == math.inf:
         # alpha < 1/DBL_MAX: R(s)^M - 1 is M alpha (1 - s)/(1 - alpha), not inf * 0
         return tp.mean * (1.0 - s)
-    return scale * math.expm1(tp.mean * _log_ratio(params, s))
+    return min(2.0, scale * math.expm1(tp.mean * _log_ratio(params, s)))
 
 
 def pgf_at(params: ModelParams, tp: TimePoint, s: float) -> float:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from logbranch import (
@@ -148,25 +148,25 @@ class TestLimitCommand:
         # pmf at its first exact zero; every row, and the tail, must still be
         # what a try per row gives
         law = LogSeries(alpha)
-        expected = []
-        for n in range(1, _CUT_NMAX + 1):
-            try:
-                moment = law.factorial_moment(n)
-            except OverflowError:
-                moment = None
-            expected.append([n, law.pmf(n), moment])
+        expected = [[n, law.pmf(n), _moment_or_none(law, n)]
+                    for n in range(1, _CUT_NMAX + 1)]
         assert expected[0][2] is not None and expected[-1][1] == 0.0
         if alpha >= 0.05:
             # below that the moments stay finite up to _CUT_NMAX
             assert expected[-1][2] is None
-        record = _json_record(runner, ["limit", "--alpha", repr(alpha),
-                                       "--nmax", str(_CUT_NMAX)])
-        assert record["rows"] == expected
-        assert record["tail_mass"] == max(0.0, 1.0 - math.fsum(r[1] for r in expected))
+        _assert_law_output(runner, ["limit", "--alpha", repr(alpha),
+                                    "--nmax", str(_CUT_NMAX)], expected)
 
     def test_rejects_bad_nmax(self, runner):
         result = runner.invoke(cli, ["limit", "--alpha", "0.5", "--nmax", "0"])
         assert result.exit_code == 2
+
+
+def _moment_or_none(law, n):
+    try:
+        return law.factorial_moment(n)
+    except OverflowError:
+        return None
 
 
 def _cut_times(params):
@@ -197,6 +197,21 @@ def _json_record(runner, args):
     return json.loads(result.output)
 
 
+def _assert_law_output(runner, args, expected):
+    """The table ``args`` print is the rows ``expected`` and then the tail
+    summed over them, in both formats: the JSON record, and the CSV bytes
+    that the cell rules give one cell at a time."""
+    tail = max(0.0, 1.0 - math.fsum(row[1] for row in expected))
+    record = _json_record(runner, args)
+    assert record["rows"] == expected
+    assert record["tail_mass"] == tail
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0, result.output
+    tail_row = ["tail", tail, *[None] * (len(record["columns"]) - 2)]
+    assert result.stdout_bytes == _csv_reference(
+        record["columns"], expected, [tail_row]).encode()
+
+
 class TestZeroCut:
     # the tables stop evaluating at their first exact-zero probability; every
     # row, and the tail, must still be what evaluating every row gives
@@ -213,11 +228,42 @@ class TestZeroCut:
             for conditional, term, sizes in laws:
                 args = ["pmf", "--alpha", repr(alpha), "--k", repr(rate),
                         "--t", repr(t), "--nmax", str(_CUT_NMAX)]
-                record = _json_record(runner, args + ["--conditional"] * conditional)
                 probs = [term(n) for n in sizes]
                 assert probs[-1] == 0.0
-                assert record["rows"] == [[n, p] for n, p in zip(sizes, probs)]
-                assert record["tail_mass"] == max(0.0, 1.0 - math.fsum(probs))
+                _assert_law_output(runner, args + ["--conditional"] * conditional,
+                                   [[n, p] for n, p in zip(sizes, probs)])
+
+    @pytest.mark.parametrize("args, column, first_stop", [
+        # the probabilities reach 0.0 at n = 1058
+        (["pmf", "--alpha", "0.5", "--k", "1", "--t", "1"], 1, 1058),
+        (["pmf", "--alpha", "0.5", "--k", "1", "--t", "1", "--conditional"], 1, 1058),
+        # the probabilities reach 0.0 at n = 248 and the moments overflow at
+        # 364, so the run of stop values starts only after 364
+        (["limit", "--alpha", "0.05"], 1, 248),
+        (["limit", "--alpha", "0.05"], 2, 364),
+    ])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_nmax_at_first_stop(self, runner, args, column, first_stop, offset):
+        # nmax a row short of a column's first stop value, on it (no run of
+        # stop values after the evaluated rows at 1058 and 364) and past it
+        last = first_stop + 2
+        if args[0] == "limit":
+            law = LogSeries(0.05)
+            rows = [[n, law.pmf(n), _moment_or_none(law, n)] for n in range(1, last + 1)]
+        else:
+            params = ModelParams(0.5, 1.0)
+            tp = params.at(1.0)
+            if "--conditional" in args:
+                term, sizes = conditional_family(params, tp).pmf, range(1, last + 1)
+            else:
+                term, sizes = partial(pmf, params, tp), range(last + 1)
+            rows = [[n, term(n)] for n in sizes]
+        values = {row[0]: row[column] for row in rows}
+        assert values[first_stop - 1] not in (0.0, None)
+        assert values[first_stop] in (0.0, None)
+        nmax = first_stop + offset
+        _assert_law_output(runner, [*args, "--nmax", str(nmax)],
+                           [row for row in rows if row[0] <= nmax])
 
     @pytest.mark.parametrize("args", [
         ["pmf", "--k", "1", "--t", "1"],
@@ -543,6 +589,18 @@ def _tables(draw):
 
 
 @given(rows=_tables(), footer=_tables())
+# zero-column rows: csv writes a bare line end
+@example(rows=[], footer=[[]])
+@example(rows=[[], []], footer=[])
+# a row's only cell empty: csv quotes it
+@example(rows=[[""], [None], ["a"]], footer=[[None]])
+@example(rows=[[""]], footer=[[""]])
+# cells that csv quotes, with their quotes doubled
+@example(rows=[["a,b", 'say "hi"', "\r", "\n"], ['"', ",", "\r\n", "a b"]],
+         footer=[['""', None, "", 0.5]])
+# bools in an int-looking column, and ints past 64 bits
+@example(rows=[[1, True], [False, 0]], footer=[[True, 2]])
+@example(rows=[[2**63, -2**64 - 1], [2**70, 0]], footer=[[-2**63 - 1, 2**200]])
 def test_writer_matches_stdlib(rows, footer):
     # CSV ignores the record; tables of zero columns are drawn too
     columns = ["c%d" % i for i in range(len(rows[0]) if rows else 2)]
