@@ -30,9 +30,9 @@ on stderr), 2 usage or domain error, 3 population cap exceeded.  One command
 class, ``_Command``, maps the typed errors to these codes; the command bodies
 only raise them.
 
-The ``simulate`` and ``verify`` commands import their modules when they run:
-those load numpy, which takes longer to import than the rest of a start-up,
-and ``pmf``, ``limit`` and ``--help`` need none of it.
+The ``verify`` command imports the check harness when it runs: the harness
+loads numpy, slower to import than the rest of a start-up, and is the largest
+module, and no other command or ``--help`` needs it.
 """
 
 import json
@@ -49,7 +49,8 @@ from .errors import (
     PopulationCapExceeded,
     PrecisionLoss,
 )
-from .model import _MAX_POPULATION, ModelParams
+from .model import ModelParams
+from .simulate import _MAX_POPULATION, SimConfig, estimate_law
 
 SCHEMA_VERSION = "2"
 # the names of ``verify._SUITES``, in its order, for ``--suite``'s choices
@@ -76,13 +77,11 @@ def _csv_cell(value) -> str:
 
 
 def _csv_rows(rows) -> str:
-    """A table of equal-length rows as CSV, each row through one %-template
-    built from its columns' types: ``%d`` for a column of plain ints and
-    ``%.10g`` for one of plain floats (what ``_csv_cell`` writes for them),
+    """A table of equal-length rows of two or more cells as CSV, each row
+    through one %-template built from its columns' types: ``%d`` for plain
+    ints and ``%.10g`` for plain floats (what ``_csv_cell`` writes for them),
     ``%s`` over the ``_csv_cell`` of each cell of any other column."""
     columns = list(zip(*rows))
-    if not columns:
-        return "\r\n" * len(rows)
     formats = []
     for i, column in enumerate(columns):
         kinds = set(map(type, column))
@@ -93,9 +92,6 @@ def _csv_rows(rows) -> str:
         else:
             formats.append("%s")
             columns[i] = [_csv_cell(value) for value in column]
-    if formats == ["%s"]:
-        # csv.writer quotes a row's only cell when it is empty
-        columns[0] = [cell or '""' for cell in columns[0]]
     template = ",".join(formats) + "\r\n"
     return "".join(map(template.__mod__, zip(*columns)))
 
@@ -276,8 +272,6 @@ _HORIZON_SUMMARY = ["empirical_mean", "model_mean", "empirical_extinction",
 @_FORMAT
 def simulate(alpha, rate, times, replicates, seed, workers, max_population, fmt):
     """Monte Carlo histograms at each horizon, next to the closed-form law."""
-    from .simulate import SimConfig, estimate_law
-
     params = ModelParams(alpha, rate)
     try:
         horizons = tuple(float(x) for x in times.split(","))

@@ -10,26 +10,32 @@ The one event loop, ``_trajectories``, walks a whole range of replicates on
 one Generator re-keyed in place by ``streams``, so replicate i still draws
 exactly what ``stream(seed, i)`` draws; ``simulate_counts`` is that loop run
 on a single Generator.
+
+Importing this module loads neither numpy nor the process pool: the functions
+that build Generators or arrays import numpy, and ``estimate_law`` imports the
+pool only when it runs more than one worker.
 """
 
 import math
 import os
 from collections import Counter
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import InverseCdfSampler, offspring_sampler
 from .errors import DomainError, PopulationCapExceeded
-from .model import _MAX_POPULATION, ModelParams
+from .model import ModelParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PATH_BLOCK = 4096  # replicates whose paths are counted before they are split
+_MAX_POPULATION = 10_000_000  # default population cap of SimConfig and the CLI
 
 
-def streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+def streams(seed: int, start: int, stop: int) -> "Iterator[np.random.Generator]":
     """``stream(seed, i)`` for each i in ``range(start, stop)``, as one Generator.
 
     A Philox stream is fully determined by its key and counter, so one Philox
@@ -46,6 +52,8 @@ def streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
         raise DomainError(
             f"stream indices must satisfy 0 <= start <= stop <= 2**64, got {start!r}, {stop!r}"
         )
+    import numpy as np
+
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     fresh = bitgen.state
     fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
@@ -53,7 +61,7 @@ def streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
     key = fresh["state"]["key"]
     rng = np.random.Generator(bitgen)
 
-    def rekeyed(index: int) -> np.random.Generator:
+    def rekeyed(index: int) -> "np.random.Generator":
         key[1] = index
         bitgen.state = fresh
         return rng
@@ -61,7 +69,7 @@ def streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
     return map(rekeyed, range(start, stop))
 
 
-def stream(seed: int, index: int = 0) -> np.random.Generator:
+def stream(seed: int, index: int = 0) -> "np.random.Generator":
     """Independent counter-based RNG stream keyed by (seed, replicate index).
 
     Philox streams with distinct keys never overlap, so replicate i of run
@@ -136,8 +144,8 @@ def _trajectories(params: ModelParams, horizons, rngs, sampler: InverseCdfSample
         yield path + zeros[i:]
 
 
-def simulate_counts(params: ModelParams, horizons, rng: np.random.Generator,
-                    sampler: InverseCdfSampler = None) -> np.ndarray:
+def simulate_counts(params: ModelParams, horizons, rng: "np.random.Generator",
+                    sampler: InverseCdfSampler = None) -> "np.ndarray":
     """Counts observed at each horizon along one trajectory from X(0) = 1.
 
     This is the range event loop run on one Generator: it never simulates
@@ -146,6 +154,8 @@ def simulate_counts(params: ModelParams, horizons, rng: np.random.Generator,
     ``offspring_sampler(params)`` is built.  The population cap is
     ``SimConfig``'s default.
     """
+    import numpy as np
+
     if sampler is None:
         sampler = offspring_sampler(params)
     path = next(_trajectories(params, horizons, (rng,), sampler, _MAX_POPULATION))
@@ -205,10 +215,14 @@ def estimate_law(cfg: SimConfig, workers: int = 1) -> list:
     if workers == 1 or cfg.replicates < 4 * workers:
         tallies = _tally_range(cfg, 0, cfg.replicates)
     else:
-        edges = np.linspace(0, cfg.replicates, 4 * workers + 1).astype(int)
+        from concurrent.futures import ProcessPoolExecutor
+
+        import numpy.random  # loaded before the workers fork, or each one loads it
+
+        edges = [cfg.replicates * k // (4 * workers) for k in range(4 * workers + 1)]
         tallies = [Counter() for _ in cfg.horizons]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [pool.submit(_tally_range, cfg, int(a), int(b))
+            jobs = [pool.submit(_tally_range, cfg, a, b)
                     for a, b in zip(edges[:-1], edges[1:])]
             for job in jobs:
                 for tally, part in zip(tallies, job.result()):

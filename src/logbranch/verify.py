@@ -140,7 +140,8 @@ def _rk4(mech: Mechanism, x0: float, t_end: float, step: float) -> OdeSolution:
     The state starts as ``float(x0)``: a numpy scalar start would carry numpy
     scalar arithmetic, about 2.4 times as slow, through every stage.  Raises
     DomainError, before any allocation, when t_end/step exceeds
-    ``_MAX_STEPS``.
+    ``_MAX_STEPS``, and NumericalDivergence, naming the time, when a step
+    leaves [0, 1] or a stage leaves the domain of phi.
     """
     if not 0.0 < t_end < math.inf:
         raise DomainError(
@@ -163,20 +164,25 @@ def _rk4(mech: Mechanism, x0: float, t_end: float, step: float) -> OdeSolution:
     phi = mech.complement
     x = float(x0)
     values = [x]
-    for h in steps:
-        k1 = rate * (phi(x) - x)
-        y = x + 0.5 * h * k1
-        k2 = rate * (phi(y) - y)
-        y = x + 0.5 * h * k2
-        k3 = rate * (phi(y) - y)
-        y = x + h * k3
-        k4 = rate * (phi(y) - y)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not -1e-9 <= x <= 1.0 + 1e-9:
-            raise NumericalDivergence(
-                f"trajectory left [0, 1] at t={times[len(values)]:.6g} (value {x!r})"
-            )
-        values.append(x)
+    try:
+        for h in steps:
+            k1 = rate * (phi(x) - x)
+            y = x + 0.5 * h * k1
+            k2 = rate * (phi(y) - y)
+            y = x + 0.5 * h * k2
+            k3 = rate * (phi(y) - y)
+            y = x + h * k3
+            k4 = rate * (phi(y) - y)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not -1e-9 <= x <= 1.0 + 1e-9:
+                raise NumericalDivergence(
+                    f"trajectory left [0, 1] at t={times[len(values)]:.6g} (value {x!r})"
+                )
+            values.append(x)
+    except ValueError as exc:  # a math domain error, as in phi's log1p
+        raise NumericalDivergence(
+            f"an RK4 stage left the domain of phi at t={times[len(values)]:.6g} ({exc})"
+        ) from exc
     return OdeSolution(times, np.array(values))
 
 
@@ -231,23 +237,25 @@ _TABLE1_S_GRID = np.linspace(0.0, 1.0, 6).tolist()
 def numeric_conditional_limit(mech: Mechanism) -> list:
     """Conditional generating function 1 - G(t, s)/G(t, 0) on Table 1's grid
     s = 0, 0.2, ..., 1, at the time where the mean decays to 1e-3, by
-    complement integration with the largest step of at most 0.01 that
-    divides that time evenly.
+    complement integration in the fewest equal steps of at most 0.01 in
+    rate * t, the only time the ODE depends on.
 
     Raises DomainError unless the offspring mean lies in [0, 1), where the
     mean target is reached in finite time, and PrecisionLoss when survival
     falls below 1e-12, past which the conditional ratio cannot be trusted at
     the advertised accuracy.  An offspring mean so close to 1 that a solve
-    needs more than ``_MAX_STEPS`` steps (alpha 1e-6 in this package's model)
-    raises DomainError from ``_rk4`` before any step.
+    needs more than ``_MAX_STEPS`` steps (alpha 1e-6 in this package's model),
+    or a rate so small that the time leaves float range, raises DomainError
+    from ``_rk4`` before any step.
     """
     if not 0.0 <= mech.mean < 1.0:
         raise DomainError(
             "offspring mean must lie in [0, 1) to reach mean target "
             f"{_LIMIT_MEAN_TARGET!r}, got {mech.mean!r}"
         )
-    t_big = math.log(_LIMIT_MEAN_TARGET) / (mech.rate * (mech.mean - 1.0))
-    step = t_big / math.ceil(t_big / 0.01)
+    scaled = math.log(_LIMIT_MEAN_TARGET) / (mech.mean - 1.0)
+    t_big = scaled / mech.rate
+    step = t_big / math.ceil(scaled / 0.01)
     survival = integrate_complement(mech, 1.0, t_big, step).final
     if survival < 1e-12:
         raise PrecisionLoss(

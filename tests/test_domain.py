@@ -1,16 +1,22 @@
-"""The domain contract: every public closed-form function, over a grid of the
-domain's corners, returns a finite value (in [0, 1] for a probability, at
-most 1 in absolute value for a pgf), raises one of the package's typed
-errors, or raises OverflowError where its docstring promises it."""
+"""The domain contract: every public closed-form function, sampler and ODE
+solve, over a grid of the domain's corners, returns a finite value (in [0, 1]
+for a probability, at most 1 in absolute value for a pgf, a nonnegative
+integer for a draw), raises one of the package's typed errors, or raises
+OverflowError where its docstring promises it.
+
+The simulator is left out: at tiny alpha a replicate runs about
+min(rate * T, A / alpha^2) events, far past any test's time."""
 
 import math
 import traceback
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from logbranch import (
     ALPHA_CRITICAL,
+    InverseCdfSampler,
     LogSeries,
     ModelParams,
     conditional_family,
@@ -20,9 +26,11 @@ from logbranch import (
     law_at,
     limit_law,
     offspring_pmf,
+    offspring_sampler,
     pgf_at,
     pgf_complement,
     pmf,
+    stream,
     survival_prob,
 )
 from logbranch.cli import cli
@@ -31,6 +39,14 @@ from logbranch.errors import (
     NumericalDivergence,
     PopulationCapExceeded,
     PrecisionLoss,
+)
+from logbranch.verify import (
+    _LIMIT_MEAN_TARGET,
+    _MAX_STEPS,
+    integrate_backward,
+    integrate_complement,
+    log_mixture_mechanism,
+    numeric_conditional_limit,
 )
 
 TYPED = (DomainError, NumericalDivergence, PopulationCapExceeded, PrecisionLoss)
@@ -43,6 +59,14 @@ RATES = [5e-324, 1e-300, 1e-3, 1.0, 1e3, 1e300, 1.7e308]
 TIMES = [0.0, 5e-324, 1e-300, 1e-18, 1e-3, 0.5, 1.0, 10.0, 1e3, 1e100, 1e300]
 S_VALUES = [-1.0, math.nextafter(-1.0, 0.0), -0.5, 0.0, 0.5, math.nextafter(1.0, 0.0), 1.0]
 SIZES = [0, 1, 2, 3, 10, 100, 1000, 10**6]
+# (t_end, step) pairs of ten steps from tiny to huge times, then one whose
+# step count is past the budget; s0 and g0 run over the ends and the middle
+SOLVES = [(1e-300, 1e-301), (1.0, 0.1), (100.0, 10.0), (1e300, 1e299), (1.0, 1e-300)]
+STARTS = [0.0, 0.5, 1.0]
+# most steps of one ODE solve that the sweep runs: a solve with more steps
+# that the budget still admits would take seconds, so it is skipped (about
+# 1e5 steps over the six solves of numeric_conditional_limit)
+SOLVE_STEPS = 20_000
 
 
 class _Sweep:
@@ -53,9 +77,11 @@ class _Sweep:
         self.violations = []
 
     def __call__(self, kind, fn, *args, overflow=False):
-        """``fn(*args)`` checked as ``kind``: "prob", "pgf", "finite", "law"
-        (every entry of the table a probability) or None (any value); the
-        value, or None after a typed error or a promised OverflowError."""
+        """``fn(*args)`` checked as ``kind``: "prob", "pgf", "finite" (a float,
+        or a list whose every entry is one), "law" (every entry of the table
+        a probability), "draws" (an int or an integer array, nonnegative) or
+        None (any value); the value, or None after a typed error or a
+        promised OverflowError."""
         self.calls += 1
         try:
             value = fn(*args)
@@ -74,12 +100,16 @@ class _Sweep:
         elif kind == "law":
             numbers = [*value.probs, value.tail_mass]
             ok = all(0.0 <= p <= 1.0 for p in numbers)
+        elif kind == "draws":
+            draws = np.asarray(value)
+            ok = (isinstance(value, (int, np.ndarray))
+                  and np.issubdtype(draws.dtype, np.integer) and (draws >= 0).all())
         else:
-            ok = isinstance(value, float) and math.isfinite(value) and {
-                "prob": 0.0 <= value <= 1.0,
-                "pgf": abs(value) <= 1.0,
+            ok = all(isinstance(v, float) and math.isfinite(v) and {
+                "prob": 0.0 <= v <= 1.0,
+                "pgf": abs(v) <= 1.0,
                 "finite": True,
-            }[kind]
+            }[kind] for v in (value if isinstance(value, list) else [value]))
         if not ok:
             self._breach(fn, args, f"{kind} value {value!r}")
         return value
@@ -124,6 +154,60 @@ def test_closed_form_contract(alpha):
             if family is not None:
                 _family(check, family)
     assert check.calls > 2000
+    assert check.violations == []
+
+
+def _sampled(check, sampler, rng):
+    """Draws from ``sampler`` one at a time and as an array."""
+    for _ in range(5):
+        check("draws", sampler.draw, rng)
+    check("draws", sampler.draw_many, rng, 50)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_sampler_contract(alpha):
+    # the offspring law and both families, each through its exact sampler
+    check = _Sweep()
+    rng = stream(ALPHAS.index(alpha))
+    params = ModelParams(alpha, 1.0)
+    _sampled(check, offspring_sampler(params), rng)
+    _sampled(check, InverseCdfSampler(LogSeries(alpha).pmf, 1, ratio_bound=alpha), rng)
+    for rate in RATES:
+        params = ModelParams(alpha, rate)
+        for t in TIMES:
+            tp = check(None, params.at, t)
+            family = None if tp is None else check(None, conditional_family, params, tp)
+            if family is None:
+                continue
+            sampler = check(None, InverseCdfSampler, family.pmf, 1, family.b)
+            if sampler is not None:
+                _sampled(check, sampler, rng)
+    assert check.calls > 400
+    assert check.violations == []
+
+
+def _final(solve, mech, start, t_end, step):
+    """The last value of an ODE solve."""
+    return solve(mech, start, t_end, step).final
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_ode_contract(alpha):
+    check = _Sweep()
+    for rate in RATES:
+        mech = log_mixture_mechanism(ModelParams(alpha, rate))
+        for t_end, step in SOLVES:
+            for start in STARTS:
+                check("finite", _final, integrate_backward, mech, start, t_end, step)
+                check("finite", _final, integrate_complement, mech, start, t_end, step)
+        # each of its solves takes this many steps, whatever the rate; a mean
+        # that rounds to 1 is rejected before any
+        steps = 0.0
+        if mech.mean < 1.0:
+            steps = math.log(_LIMIT_MEAN_TARGET) / (mech.mean - 1.0) / 0.01
+        if not SOLVE_STEPS < steps <= _MAX_STEPS:
+            check("finite", numeric_conditional_limit, mech)
+    assert check.calls > 200
     assert check.violations == []
 
 

@@ -194,7 +194,7 @@ class TestEstimateLaw:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr("logbranch.simulate.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         cfg = SimConfig(params_half, (0.5, 1.0), 2_000, 11)
         capped = estimate_law(cfg, workers=64)

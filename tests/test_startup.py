@@ -1,6 +1,6 @@
-"""The closed-form path starts without numpy, the simulator's names still
-resolve from ``logbranch`` on first access, and the check harness is served
-from ``logbranch.verify`` only."""
+"""The package imports the simulator with everything else, the closed-form
+path starts without numpy or the process pool, and the check harness is
+served from ``logbranch.verify`` only."""
 
 import importlib
 import subprocess
@@ -16,8 +16,9 @@ from logbranch import cli, verify
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the benchmark's set-up sequence, then the closed-form commands and --help;
-# numpy must stay unloaded through all of them, and simulate and verify must
-# still run once it is loaded by them
+# numpy and the process pool must stay unloaded through all of them though
+# the simulator is imported, and simulate and verify must still run once
+# they load numpy
 _CHILD = r"""
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -36,6 +37,8 @@ for args in (["pmf", "--alpha", "0.5", "--k", "1", "--t", "1", "--nmax", "20"],
     result = runner.invoke(logbranch.cli.cli, args)
     assert result.exit_code == 0, (args, result.output)
 assert "numpy" not in sys.modules, "numpy loaded on the closed-form path"
+assert "concurrent.futures" not in sys.modules, "process pool loaded at start-up"
+assert "logbranch.simulate" in sys.modules, "simulator not imported with the package"
 for args in (["simulate", "--alpha", "0.5", "--k", "1", "--times", "1",
               "--replicates", "50"],
              ["verify", "--suite", "limit"]):

@@ -127,6 +127,18 @@ class TestIntegration:
         with pytest.raises(NumericalDivergence):
             integrate_backward(runaway, 0.9, 5.0, 0.01)
 
+    @pytest.mark.parametrize("solve, at", [
+        # a step of 10 at rate 1, or of 0.1 at rate 1e300, takes an RK4
+        # stage out of the domain of phi's log1p before the step ends
+        (lambda: integrate_complement(log_mixture_mechanism(ModelParams(0.5, 1.0)),
+                                      1.0, 100.0, 10.0), "t=10 "),
+        (lambda: integrate_backward(log_mixture_mechanism(ModelParams(0.5, 1e300)),
+                                    0.0, 1.0, 0.1), "t=0.1 "),
+    ])
+    def test_unstable_step_is_divergence(self, solve, at):
+        with pytest.raises(NumericalDivergence, match=at):
+            solve()
+
     def test_input_validation(self, params_half):
         mech = log_mixture_mechanism(params_half)
         with pytest.raises(DomainError):
@@ -246,6 +258,19 @@ class TestConditionalLimits:
     def test_unreachable_mean_target_rejected(self, factory):
         with pytest.raises(DomainError, match="offspring mean"):
             numeric_conditional_limit(factory())
+
+    @pytest.mark.parametrize("rate", [1e-3, 100.0, 1e3])
+    def test_ratios_do_not_depend_on_rate(self, rate):
+        # the backward ODE depends on t only through rate * t
+        reference = numeric_conditional_limit(log_mixture_mechanism(ModelParams(0.5, 1.0)))
+        ratios = numeric_conditional_limit(log_mixture_mechanism(ModelParams(0.5, rate)))
+        assert ratios == pytest.approx(reference, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("params", [ModelParams(1e-3, 5e-324),
+                                        ModelParams(1e-8, 1e-300)])
+    def test_time_past_float_range_rejected(self, params):
+        with pytest.raises(DomainError):
+            numeric_conditional_limit(log_mixture_mechanism(params))
 
     def test_table_closed_forms_at_endpoints(self):
         for mech in standard_mechanisms():
