@@ -42,7 +42,9 @@ def main() -> None:
     prev_error = None
     step = args.step
     for _ in range(args.halvings + 1):
-        value = integrate_backward(mech, args.s0, args.t_end, step).final
+        # the integrator's time is rate * t
+        value = integrate_backward(mech, args.s0, args.rate * args.t_end,
+                                   args.rate * step).final
         error = abs(value - reference)
         if prev_error is None or error == 0.0:
             order = ""

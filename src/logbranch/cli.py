@@ -20,9 +20,11 @@ alpha < ``ALPHA_CRITICAL`` ≈ 0.7726, and the survival factor keeps the
 order.  The log-terms fall by at least |log 0.7726| ≈ 0.26 a step, far more
 than the rounding error of a computed term, so after one term underflows to
 0.0 so does every later one.  Their rows are built only until every column
-holds its stop value (probability 0.0, a moment past float range); the rest
-of the table is written as one string per format, one ``%`` a row and no
-row built, so a large ``--nmax`` costs little more than the text it writes.
+holds its stop value: probability 0.0, and a moment past float range, or
+0.0 where nmax alpha/(1 - alpha) <= ``ALPHA_CRITICAL`` makes the moments
+fall as fast as the probabilities.  The rest of the table is written as one
+string per format, one ``%`` a row and no row built, so a large ``--nmax``
+costs little more than the text it writes.
 
 Exit codes: 0 success, 1 a verification check failed or the harness failed
 numerically (``NumericalDivergence``, ``PrecisionLoss``, with ``error: ...``
@@ -49,7 +51,7 @@ from .errors import (
     PopulationCapExceeded,
     PrecisionLoss,
 )
-from .model import ModelParams
+from .model import ALPHA_CRITICAL, ModelParams
 from .simulate import _MAX_POPULATION, SimConfig, estimate_law
 
 SCHEMA_VERSION = "2"
@@ -158,11 +160,11 @@ def _column(term, sizes, stop) -> list:
     ``stop`` in every later row.
 
     That is exact only where ``stop`` at some n >= 1 stays ``stop`` from
-    there on: a probability that underflows to 0.0 (the terms are
-    nonincreasing from n = 1, their logs falling by at least 0.26 a step;
-    see the module docstring), or a factorial moment past float range, given
-    as None.  The guard is n >= 1 because at t = 0, P(X = 0) is 0 and
-    P(X = 1) is 1.
+    there on: a probability or, where they fall as fast, a factorial moment
+    that underflows to 0.0 (the terms are nonincreasing from n = 1, their
+    logs falling by at least 0.26 a step; see the module docstring), or a
+    factorial moment past float range, given as None.  The guard is n >= 1
+    because at t = 0, P(X = 0) is 0 and P(X = 1) is 1.
     """
     values = []
     for n in sizes:
@@ -179,9 +181,9 @@ def _echo_law(command, params, fmt, columns, sizes, term, *extra):
     row holding the mass 1 - sum of the probabilities past the last size.
 
     Rows are built only up to the size where every column has reached its
-    stop value (probability 0.0, moment None); the rest go to ``_render`` as
-    a run, and the tail is summed over the evaluated probabilities, since
-    the rest are 0.
+    stop value (probability 0.0, moment None or 0.0); the rest go to
+    ``_render`` as a run, and the tail is summed over the evaluated
+    probabilities, since the rest are 0.
     """
     stops = (0.0, *(stop for _, stop in extra))
     evaluated = [_column(term, sizes, 0.0),
@@ -237,6 +239,10 @@ def limit(alpha, nmax, fmt):
     """Long-time law conditioned on survival (logarithmic series), with its
     factorial moments; moments past float range are left empty."""
     law = LogSeries(ModelParams(alpha, 1.0).alpha)
+    # at nmax alpha/(1 - alpha) <= ALPHA_CRITICAL every row's moment ratio
+    # n alpha/(1 - alpha) is below 0.7726, so the log-moments fall by 0.26 a
+    # step or more, as the probabilities do: none overflows, and a 0.0 stays
+    moment_stop = 0.0 if nmax * alpha / (1.0 - alpha) <= ALPHA_CRITICAL else None
 
     def moment(n):
         # log E[[N]_n] stays below log 4.4 while n <= (1 - alpha)/alpha and
@@ -249,7 +255,7 @@ def limit(alpha, nmax, fmt):
 
     _echo_law("limit", {"alpha": alpha, "nmax": nmax}, fmt,
               ["n", "probability", "factorial_moment"], _sizes(1, nmax),
-              law.pmf, (moment, None))
+              law.pmf, (moment, moment_stop))
 
 
 _HORIZON_COLUMNS = ["n", "count", "empirical_prob", "model_prob"]

@@ -11,12 +11,13 @@ checks, except as the value it is compared against. The rows are:
   family's, against Richardson differences of the plain power-form
   generating function, and against the direct product
   ((1-alpha)/alpha) (alpha/(1-alpha))^n M (1 - M) ... (n - 1 - M);
-* fixed-step RK4 integration of the backward equation dF/dt = f(F), always
-  stepped on the complement G = 1 - F, whose drift rate (phi(G) - G) is
-  written per mechanism in cancellation-free form so no precision is lost
-  when G is tiny; RK4 is affine-invariant, so reading F back as 1 - G is the
-  same scheme as stepping F; the state is kept a Python float, since a step
-  on a numpy scalar costs about 2.4 times as much;
+* fixed-step RK4 integration of the backward equation dF/dt = f(F) in
+  tau = rate * t, the only time it depends on, always stepped on the
+  complement G = 1 - F, whose drift d(G) = 1 - h(1 - G) - G is written per
+  mechanism in cancellation-free form so no precision is lost when G is
+  tiny; RK4 is affine-invariant, so reading F back as 1 - G is the same
+  scheme as stepping F; the state is kept a Python float, since a step on a
+  numpy scalar costs about 2.4 times as much;
 * long-time conditional limits for four reproduction mechanisms, each with
   its own closed-form limit generating function to compare against;
 * family rows: the conditional law is ExtendedSibuya(M(t), alpha), and it
@@ -39,49 +40,37 @@ from .model import ModelParams, infinitesimal_gen
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A reproduction mechanism packaged for ODE work.
-
-    ``complement`` is phi(g) = 1 - h(1 - g) for the offspring generating
-    function h, in cancellation-free form, and ``limit_pgf`` is the
-    closed-form generating function of the conditional limit law the
-    mechanism should produce.
-    """
+    """A reproduction mechanism packaged for ODE work: ``drift`` is
+    d(g) = 1 - h(1 - g) - g = -f(1 - g)/rate for the offspring generating
+    function h and generator f, in cancellation-free form, the rate of change
+    of G = 1 - F per unit of tau = rate * t; ``limit_pgf`` is the closed-form
+    generating function of the conditional limit law it should produce."""
 
     name: str
-    rate: float
     mean: float
-    complement: Callable
+    drift: Callable
     limit_pgf: Callable
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rate < math.inf:
-            raise DomainError(f"rate must be positive and finite, got {self.rate!r}")
 
 
 def log_mixture_mechanism(params: ModelParams) -> Mechanism:
-    """The mechanism of this package's model, in closure form for the integrator."""
+    """The mechanism of this package's model, in closure form for the
+    integrator; it reads only ``params.alpha``, since its time is rate * t."""
     a = params.alpha
     weight = a / params.log_norm
     stay = 1.0 - a
 
-    def phi(g: float) -> float:
-        return g - weight * (stay + a * g) * math.log1p(a * g / stay)
+    def drift(g: float) -> float:
+        return -weight * (stay + a * g) * math.log1p(a * g / stay)
 
-    return Mechanism(
-        name="log-mixture",
-        rate=params.rate,
-        mean=params.offspring_mean,
-        complement=phi,
-        limit_pgf=LogSeries(params.alpha).pgf,
-    )
+    return Mechanism("log-mixture", params.offspring_mean, drift, LogSeries(a).pgf)
 
 
 _REFERENCE_MEAN = 0.5  # offspring mean of Table 1's three reference mechanisms
 
 
 def standard_mechanisms() -> tuple:
-    """Table 1's four mechanisms at rate 1, each with its known conditional
-    limit: this package's model at alpha = 0.5, then, at mean
+    """Table 1's four mechanisms, each with its known conditional limit:
+    this package's model at alpha = 0.5, then, at mean
     m = ``_REFERENCE_MEAN``,
 
     * geometric h(s) = 1 / (1 + m - m s), limit
@@ -95,15 +84,16 @@ def standard_mechanisms() -> tuple:
     with real margin.
     """
     m = _REFERENCE_MEAN
+    stay = 1.0 - m
     half_m = 0.5 * m
     rho = m / (2.0 - m)
     return (
         log_mixture_mechanism(ModelParams(0.5, 1.0)),
-        Mechanism("geometric", 1.0, m, lambda g: m * g / (1.0 + m * g),
+        Mechanism("geometric", m, lambda g: -g * (stay + m * g) / (1.0 + m * g),
                   lambda s: 1.0 - (1.0 - s) * math.exp(-m * math.log1p(-m * s))),
-        Mechanism("binary", 1.0, m, lambda g: m * g - half_m * g * g,
+        Mechanism("binary", m, lambda g: -g * (stay + half_m * g),
                   lambda s: (1.0 - rho) * s / (1.0 - rho * s)),
-        Mechanism("linear", 1.0, m, lambda g: m * g, lambda s: s),
+        Mechanism("linear", m, lambda g: (m - 1.0) * g, lambda s: s),
     )
 
 
@@ -134,14 +124,14 @@ _MAX_STEPS = 10_000_000
 
 
 def _rk4(mech: Mechanism, x0: float, t_end: float, step: float) -> OdeSolution:
-    """RK4 for dG/dt = rate (phi(G) - G) from G(0) = x0; each stage evaluates
-    the drift inline, so a stage costs one Python call, to phi.
+    """RK4 for dG/dtau = drift(G) from G(0) = x0, tau = rate * t; a stage is
+    one Python call, to the drift.
 
     The state starts as ``float(x0)``: a numpy scalar start would carry numpy
     scalar arithmetic, about 2.4 times as slow, through every stage.  Raises
     DomainError, before any allocation, when t_end/step exceeds
     ``_MAX_STEPS``, and NumericalDivergence, naming the time, when a step
-    leaves [0, 1] or a stage leaves the domain of phi.
+    leaves [0, 1] or a stage leaves the domain of the drift.
     """
     if not 0.0 < t_end < math.inf:
         raise DomainError(
@@ -160,35 +150,36 @@ def _rk4(mech: Mechanism, x0: float, t_end: float, step: float) -> OdeSolution:
     # k * step rather than a running sum of the steps, which drifts off the
     # grid over long horizons; the last time is t_end itself
     times = np.append(np.arange(len(steps)) * step, t_end)
-    rate = mech.rate
-    phi = mech.complement
+    drift = mech.drift
     x = float(x0)
     values = [x]
     try:
         for h in steps:
-            k1 = rate * (phi(x) - x)
+            k1 = drift(x)
             y = x + 0.5 * h * k1
-            k2 = rate * (phi(y) - y)
+            k2 = drift(y)
             y = x + 0.5 * h * k2
-            k3 = rate * (phi(y) - y)
+            k3 = drift(y)
             y = x + h * k3
-            k4 = rate * (phi(y) - y)
+            k4 = drift(y)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not -1e-9 <= x <= 1.0 + 1e-9:
                 raise NumericalDivergence(
                     f"trajectory left [0, 1] at t={times[len(values)]:.6g} (value {x!r})"
                 )
             values.append(x)
-    except ValueError as exc:  # a math domain error, as in phi's log1p
+    except ValueError as exc:  # a math domain error, as in the drift's log1p
         raise NumericalDivergence(
-            f"an RK4 stage left the domain of phi at t={times[len(values)]:.6g} ({exc})"
+            f"an RK4 stage left the domain of the drift at t={times[len(values)]:.6g} ({exc})"
         ) from exc
     return OdeSolution(times, np.array(values))
 
 
 def integrate_backward(mech: Mechanism, s0: float, t_end: float,
                        step: float) -> OdeSolution:
-    """RK4 solution of dF/dt = rate (h(F) - F), F(0) = s0, on [0, t_end].
+    """RK4 solution of dF/dtau = h(F) - F, F(0) = s0, on tau in [0, t_end];
+    tau = rate * t, so ``t_end``, ``step`` and the solution's ``times`` are
+    all in units of 1/rate.
 
     The steps run on G = 1 - F (see ``integrate_complement``) and are read
     back as F = 1 - G; RK4 is affine-invariant, so this is the RK4 scheme
@@ -202,7 +193,8 @@ def integrate_backward(mech: Mechanism, s0: float, t_end: float,
 
 def integrate_complement(mech: Mechanism, g0: float, t_end: float,
                          step: float) -> OdeSolution:
-    """RK4 solution for G = 1 - F: dG/dt = rate (phi(G) - G), G(0) = g0.
+    """RK4 solution for G = 1 - F: dG/dtau = drift(G), G(0) = g0, with
+    time in tau = rate * t as in ``integrate_backward``.
 
     Working on the complement keeps relative precision when G decays to the
     1e-3 .. 1e-12 range, where 1 - F would be pure cancellation.
@@ -236,26 +228,24 @@ _TABLE1_S_GRID = np.linspace(0.0, 1.0, 6).tolist()
 
 def numeric_conditional_limit(mech: Mechanism) -> list:
     """Conditional generating function 1 - G(t, s)/G(t, 0) on Table 1's grid
-    s = 0, 0.2, ..., 1, at the time where the mean decays to 1e-3, by
-    complement integration in the fewest equal steps of at most 0.01 in
-    rate * t, the only time the ODE depends on.
+    s = 0, 0.2, ..., 1, at the tau = rate * t where the mean decays to 1e-3,
+    by complement integration in the fewest equal steps of at most 0.01 in
+    tau.
 
     Raises DomainError unless the offspring mean lies in [0, 1), where the
     mean target is reached in finite time, and PrecisionLoss when survival
     falls below 1e-12, past which the conditional ratio cannot be trusted at
     the advertised accuracy.  An offspring mean so close to 1 that a solve
-    needs more than ``_MAX_STEPS`` steps (alpha 1e-6 in this package's model),
-    or a rate so small that the time leaves float range, raises DomainError
-    from ``_rk4`` before any step.
+    needs more than ``_MAX_STEPS`` steps (alpha 1e-6 in this package's model)
+    raises DomainError from ``_rk4`` before any step.
     """
     if not 0.0 <= mech.mean < 1.0:
         raise DomainError(
             "offspring mean must lie in [0, 1) to reach mean target "
             f"{_LIMIT_MEAN_TARGET!r}, got {mech.mean!r}"
         )
-    scaled = math.log(_LIMIT_MEAN_TARGET) / (mech.mean - 1.0)
-    t_big = scaled / mech.rate
-    step = t_big / math.ceil(scaled / 0.01)
+    t_big = math.log(_LIMIT_MEAN_TARGET) / (mech.mean - 1.0)
+    step = t_big / math.ceil(t_big / 0.01)
     survival = integrate_complement(mech, 1.0, t_big, step).final
     if survival < 1e-12:
         raise PrecisionLoss(
@@ -396,7 +386,8 @@ def closed_form_suite() -> list:
 
 
 def ode_suite() -> list:
-    """Closed form versus RK4 on a parameter grid, plus the observed order."""
+    """Closed form versus RK4 on a parameter grid, the closed form at rate r
+    and time t against the solve at tau = r t, plus the observed order."""
     results = []
     step = 1e-3
     horizon = 5.0
@@ -404,14 +395,14 @@ def ode_suite() -> list:
     s_values = (0.0, 0.25, 0.5, 0.75, 0.9)
     worst = 0.0
     for alpha in (0.3, 0.6):
+        mech = log_mixture_mechanism(ModelParams(alpha, 1.0))
         for rate in (1.0, 2.0):
             params = ModelParams(alpha, rate)
-            mech = log_mixture_mechanism(params)
             for s0 in s_values:
-                path = integrate_backward(mech, s0, horizon, step)
+                path = integrate_backward(mech, s0, rate * horizon, rate * step)
                 for t in query_times:
                     exact = closed_form.pgf_at(params, params.at(t), s0)
-                    worst = max(worst, abs(path.value_at(t) - exact))
+                    worst = max(worst, abs(path.value_at(rate * t) - exact))
     results.append(_result("rk4_vs_closed_form", worst, 1e-8))
 
     # observed order: log2 of the endpoint-error ratio between step and step/2

@@ -282,6 +282,30 @@ class TestZeroCut:
         _, rows = _rows(result.output)
         assert rows[-2][:2] == ["100000", "0"]
 
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-7"])
+    def test_vanishing_moments_cost_few_terms(self, runner, monkeypatch, alpha):
+        # nmax alpha/(1 - alpha) <= ALPHA_CRITICAL here, so the moments fall
+        # as the probabilities do and stop at their first 0.0
+        calls = []
+        monkeypatch.setattr(LogSeries, "factorial_moment",
+                            _counted(LogSeries.factorial_moment, calls))
+        result = runner.invoke(cli, ["limit", "--alpha", alpha, "--nmax", "1000000"])
+        assert result.exit_code == 0
+        assert 0 < len(calls) < 100
+        _, rows = _rows(result.output)
+        assert rows[-2] == ["1000000", "0", "0"]
+
+    @pytest.mark.parametrize("nmax", [7725, 7726])
+    def test_moment_stop_at_its_bound(self, runner, nmax):
+        # at alpha 1e-4, nmax alpha/(1 - alpha) is just below ALPHA_CRITICAL
+        # at 7725 and just above at 7726: the moments stop at their first 0.0
+        # on one side and are tried to the end on the other, to the same table
+        law = LogSeries(1e-4)
+        expected = [[n, law.pmf(n), _moment_or_none(law, n)] for n in range(1, nmax + 1)]
+        assert expected[-1][1:] == [0.0, 0.0]
+        _assert_law_output(runner, ["limit", "--alpha", "1e-4", "--nmax", str(nmax)],
+                           expected)
+
 
 def _counted(method, calls):
     def counted(self, n):
