@@ -9,8 +9,10 @@ the numerical signature of the first-order convergence rate.
 
 import argparse
 import math
+import sys
 
-from logbranch import ModelParams, conditional_law_at, limit_law, tv_distance
+from logbranch import (DomainError, ModelParams, NumericalDivergence,
+                       PrecisionLoss, conditional_law_at, limit_law, tv_distance)
 
 
 def main() -> None:
@@ -45,4 +47,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    # the CLI's contract: one error line, exit 2 for a bad input, 1 when the
+    # numerics fail
+    try:
+        main()
+    except (DomainError, NumericalDivergence, PrecisionLoss) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2 if isinstance(exc, DomainError) else 1)

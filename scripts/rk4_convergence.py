@@ -10,8 +10,10 @@ settling near 4 until roundoff takes over.
 
 import argparse
 import math
+import sys
 
-from logbranch import ModelParams, pgf_at
+from logbranch import (DomainError, ModelParams, NumericalDivergence,
+                       PrecisionLoss, pgf_at)
 from logbranch.verify import integrate_backward, log_mixture_mechanism
 
 
@@ -46,7 +48,7 @@ def main() -> None:
         value = integrate_backward(mech, args.s0, args.rate * args.t_end,
                                    args.rate * step).final
         error = abs(value - reference)
-        if prev_error is None or error == 0.0:
+        if not prev_error or error == 0.0:  # no previous run, or an exact one
             order = ""
         else:
             order = f"{math.log2(prev_error / error):>16.3f}"
@@ -56,4 +58,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    # the CLI's contract: one error line, exit 2 for a bad input, 1 when the
+    # numerics fail
+    try:
+        main()
+    except (DomainError, NumericalDivergence, PrecisionLoss) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2 if isinstance(exc, DomainError) else 1)

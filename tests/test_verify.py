@@ -17,11 +17,13 @@ from logbranch import (
 )
 from logbranch.verify import (
     Mechanism,
+    _rk4,
     check_implicit_solution,
     integrate_backward,
     integrate_complement,
     log_mixture_mechanism,
     numeric_conditional_limit,
+    ode_suite,
     run_suite,
     standard_mechanisms,
 )
@@ -203,6 +205,46 @@ class TestFloatState:
         assert seen and set(seen) == {float}
 
 
+def _textbook_rk4(drift, x, t_end, step):
+    """Classical RK4 written out stage by stage, with the same grid as
+    ``_rk4``: whole steps, then the remainder."""
+    n_full = int(t_end / step)
+    values = [x]
+    for h in [step] * n_full + [t_end - n_full * step]:
+        k1 = drift(x)
+        k2 = drift(x + 0.5 * h * k1)
+        k3 = drift(x + 0.5 * h * k2)
+        k4 = drift(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        values.append(x)
+    return values
+
+
+class TestTextbookScheme:
+    # the stage and the log-mixture drift hoist common subexpressions; both
+    # must give the plain formulas' bits exactly, not merely approximately
+    @pytest.mark.parametrize("mech", standard_mechanisms(), ids=lambda m: m.name)
+    @pytest.mark.parametrize("x0", [1.0, 0.7, 0.05])
+    def test_stage_is_textbook_rk4(self, mech, x0):
+        # 12.345 is not a multiple of 0.5, so a remainder step of 0.345 ends
+        # it; a step this long makes each increment large next to the state,
+        # so a one-ulp change in an increment shows in the state's bits
+        solution = _rk4(mech, x0, 12.345, 0.5)
+        assert len(solution.values) == 26
+        assert solution.values.tolist() == _textbook_rk4(mech.drift, x0, 12.345, 0.5)
+
+    @pytest.mark.parametrize("params", [ModelParams(0.5, 1.0), ModelParams(0.3, 7.0),
+                                        ModelParams(0.77, 1.0), ModelParams(1e-6, 1.0)])
+    def test_log_mixture_drift_is_plain_formula(self, params):
+        a = params.alpha
+        weight = a / params.log_norm
+        stay = 1.0 - a
+        drift = log_mixture_mechanism(params).drift
+        grid = [0.0, 5e-324, 1e-300, 1e-12, 1e-6] + np.linspace(0.0, 1.0, 97).tolist()
+        for g in grid:
+            assert drift(g) == -weight * (stay + a * g) * math.log1p(a * g / stay)
+
+
 class TestImplicitSolution:
     def test_time_zero_is_exact(self, params_half):
         tp = params_half.at(0.0)
@@ -263,6 +305,12 @@ class TestSuites:
     def test_pass_semantics(self):
         for result in run_suite("limit"):
             assert result.passed == (result.residual <= result.tolerance)
+
+    def test_ode_reference_stays_accurate(self):
+        # the row's bound is 1e-8; the step must keep the residual far below
+        # it, so a coarser step cannot hide behind the bound
+        (row,) = [r for r in ode_suite() if r.name == "rk4_vs_closed_form"]
+        assert row.residual <= 1e-13
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):
