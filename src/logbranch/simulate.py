@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 
 _PATH_BLOCK = 4096  # replicates whose paths are counted before they are split
 _MAX_POPULATION = 10_000_000  # default population cap of SimConfig and the CLI
+_EVENT_BUDGET = 1e10  # most expected events one estimate_law run may take
 
 
 def streams(seed: int, start: int, stop: int) -> "Iterator[np.random.Generator]":
@@ -98,8 +99,10 @@ class SimConfig:
                     f"horizons must be strictly increasing and positive, got {self.horizons!r}"
                 )
             prev = t
-        if self.replicates < 1:
-            raise DomainError(f"replicates must be positive, got {self.replicates!r}")
+        if not 1 <= self.replicates <= 2**64:
+            raise DomainError(
+                f"replicates must lie in [1, 2**64], one stream each, got {self.replicates!r}"
+            )
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must fit in 64 bits, got {self.seed!r}")
         if self.max_population < 1:
@@ -177,6 +180,20 @@ class EmpiricalLaw:
         return math.fsum(n * c for n, c in self.counts.items()) / self.replicates
 
 
+def _expected_events(params: ModelParams, horizon: float) -> float:
+    """Expected events of one replicate up to ``horizon``: the integral of
+    rate E[X(t)] = rate e^(c t) over [0, horizon], c = ``malthusian_rate``,
+    which is rate T expm1(c T)/(c T) at T = horizon, or rate T where c or
+    c T rounds to 0.  It is taken as rate expm1(c T)/c, equal to
+    A (-expm1(c T))/alpha^2, which stays finite where rate T overflows and
+    c T is -inf."""
+    c = params.malthusian_rate
+    x = c * horizon
+    if c == 0.0 or x == 0.0:
+        return params.rate * horizon
+    return params.rate * math.expm1(x) / c
+
+
 def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
     """Per-horizon histograms of replicates ``start`` to ``stop``.
 
@@ -207,10 +224,15 @@ def estimate_law(cfg: SimConfig, workers: int = 1) -> list:
     what ``stream(seed, i)`` draws, and histogram merging is commutative.
     ``workers`` is capped at the CPU count: a process pool forks all of its
     workers at once, so the cap keeps a huge request from exhausting the
-    process table.
+    process table.  Raises DomainError, before any draw, when the replicates
+    expect more than ``_EVENT_BUDGET`` events up to the last horizon in all.
     """
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers!r}")
+    events = cfg.replicates * _expected_events(cfg.params, cfg.horizons[-1])
+    if not events <= _EVENT_BUDGET:
+        raise DomainError(f"{cfg.replicates} replicates to t={cfg.horizons[-1]!r} expect "
+                          f"{events:.3g} events, past the budget of {_EVENT_BUDGET:.0e}")
     workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or cfg.replicates < 4 * workers:
         tallies = _tally_range(cfg, 0, cfg.replicates)

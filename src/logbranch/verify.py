@@ -21,7 +21,11 @@ checks, except as the value it is compared against. The rows are:
 * long-time conditional limits for four reproduction mechanisms, each with
   its own closed-form limit generating function to compare against;
 * family rows: the conditional law is ExtendedSibuya(M(t), alpha), and it
-  approaches LogSeries(alpha) in total variation at the first-order rate.
+  approaches LogSeries(alpha) in total variation at the first-order rate,
+  exactly TV = alpha M/2 + alpha A M^2/12 + O(M^4) with A = -log(1 - alpha)
+  (``tv_first_order_rate``);
+* the observed order of RK4 over five step halvings
+  (``rk4_convergence_order``).
 
 Every check returns a CheckResult; a result passes when residual <= tolerance.
 """
@@ -257,8 +261,15 @@ def numeric_conditional_limit(mech: Mechanism) -> list:
     ratios = []
     for s in _TABLE1_S_GRID:
         g0 = 1.0 - s
-        # g0 == 1.0 starts where the survival solve did, so it ends there too
-        g_end = survival if g0 == 1.0 else integrate_complement(mech, g0, t_big, step).final
+        # g0 == 1.0 starts where the survival solve did, so it ends there too;
+        # g0 == 0.0 is a fixed point, since every drift gives d(0) = -0.0, so
+        # G stays exactly 0.0 and the ratio is exactly 1.0
+        if g0 == 1.0:
+            g_end = survival
+        elif g0 == 0.0:
+            g_end = 0.0
+        else:
+            g_end = integrate_complement(mech, g0, t_big, step).final
         ratios.append(1.0 - g_end / survival)
     return ratios
 
@@ -388,7 +399,8 @@ def closed_form_suite() -> list:
 
 
 def ode_suite() -> list:
-    """Closed form versus RK4 on a parameter grid, plus the observed order.
+    """Closed form versus RK4 on a parameter grid, plus the observed order,
+    the largest |order - 4| over five step halvings from 0.2.
     One tau-solve per (alpha, s0), at the largest rate's horizon and step,
     serves every rate: the drift depends on tau = r t alone, so the closed
     form at rate r and time t is read off that same trajectory at tau = r t,
@@ -408,16 +420,18 @@ def ode_suite() -> list:
                     exact = closed_form.pgf_at(params, params.at(t), s0)
                     worst = max(worst, abs(path.value_at(params.rate * t) - exact))
 
-    # observed order: log2 of the endpoint-error ratio between step and step/2
+    # observed order: log2 of the endpoint-error ratio between step and
+    # step/2, for steps 0.2 down to 0.0125; the error at step 0.00625,
+    # 1.7e-13, is still far above roundoff, which sets in below it
     params = ModelParams(0.5, 1.0)
     mech = log_mixture_mechanism(params)
     reference = closed_form.pgf_at(params, params.at(2.0), 0.2)
-    coarse = 0.05
-    e_coarse = abs(integrate_backward(mech, 0.2, 2.0, coarse).final - reference)
-    e_fine = abs(integrate_backward(mech, 0.2, 2.0, 0.5 * coarse).final - reference)
-    order = math.log2(e_coarse / e_fine)
+    errors = [abs(integrate_backward(mech, 0.2, 2.0, 0.2 / 2**k).final - reference)
+              for k in range(6)]
+    worst_order = max(abs(math.log2(coarse / fine) - 4.0)
+                      for coarse, fine in zip(errors, errors[1:]))
     return [_result("rk4_vs_closed_form", worst, 1e-8),
-            _result("rk4_convergence_order", abs(order - 4.0), 0.3)]
+            _result("rk4_convergence_order", worst_order, 0.3)]
 
 
 def table1_suite() -> list:
@@ -429,6 +443,49 @@ def table1_suite() -> list:
         worst = max(abs(r - mech.limit_pgf(s)) for r, s in zip(ratios, _TABLE1_S_GRID))
         results.append(_result(f"limit_law_{mech.name}", worst, 1e-4))
     return results
+
+
+# the x^2 coefficient of x/(1 - e^-x) = 1 + x/2 + x^2/12 - x^4/720 + ...
+_TV_SECOND_ORDER = 1.0 / 12.0
+
+
+def _tv_first_order_rate() -> CheckResult:
+    """TV(t) between the conditional law and its limit against its exact
+    expansion in the mean M = M(t).
+
+    ExtendedSibuya(M, alpha) puts more mass than LogSeries(alpha) on n = 1
+    only, so TV = alpha M/(1 - e^-x) - alpha/A with x = M A, which is
+    (alpha/A)(x/(1 - e^-x) - 1) = alpha M/2 + alpha A M^2/12
+    - (alpha/A) x^4/720 + ...  The residual is the largest
+    |(TV - alpha M/2)/M^2 - alpha A/12| over alpha in {0.05, 0.3, 0.5, 0.7,
+    0.77} and M in {1e-2, 1e-3}, with TV from ``tv_distance``.  Its
+    tolerance is derived, not fitted: the largest over the grid of
+
+    * 2 _TAIL_BOUND/M^2: ``tv_distance`` adds half of each table's certified
+      tail mass, each below ``_TAIL_BOUND``, and where one table ends first
+      it also counts that table's untabulated mass once more, so it
+      overstates TV by at most tail_a + tail_b;
+    * alpha A^3 M^2/720, the dropped terms over M^2: for x < 2 pi the series
+      alternates with falling terms, so they are at most (alpha/A) x^4/720.
+
+    That is 2.0034e-6, at alpha 0.77 and M 1e-3.  Rounding in the table
+    terms moves TV by under 3e-16, the residual by under 3e-10.
+    """
+    worst = 0.0
+    tolerance = 0.0
+    for alpha in (0.05, 0.3, 0.5, 0.7, 0.77):
+        params = ModelParams(alpha, 1.0)
+        a_const = params.log_norm
+        limit = closed_form.limit_law(params)
+        for target in (1e-2, 1e-3):
+            tp = params.at(math.log(target) / params.malthusian_rate)
+            m = tp.mean
+            tv = closed_form.tv_distance(closed_form.conditional_law_at(params, tp), limit)
+            worst = max(worst, abs((tv - 0.5 * alpha * m) / m**2
+                                   - alpha * a_const * _TV_SECOND_ORDER))
+            tolerance = max(tolerance, 2.0 * closed_form._TAIL_BOUND / m**2
+                            + alpha * a_const**3 * m**2 / 720.0)
+    return _result("tv_first_order_rate", worst, tolerance)
 
 
 def limit_suite() -> list:
@@ -448,6 +505,7 @@ def limit_suite() -> list:
     stalls = sum(1 for a, b in zip(tvs, tvs[1:]) if not b < a)
     results.append(_result("tv_to_limit_decreasing", float(stalls), 0.0))
     results.append(_result("tv_rate_consistency", max(ratios) / min(ratios), 3.0))
+    results.append(_tv_first_order_rate())
 
     # the family against the conditional pgf 1 - (1 - F(t, s)) / P(X(t) > 0)
     # derived from F, not against conditional_family, which is the family itself;

@@ -9,15 +9,17 @@ million-replicate simulation:
 1. the critical offspring weight is located in under 1 ms, to 6 digits
    (``test_criterion_1_critical_threshold``);
 2. RK4 reproduces the closed-form generating function to 1e-8 and converges
-   at fourth order, with the ode suite under 5 s: ``rk4_vs_closed_form``,
-   ``rk4_convergence_order``;
+   at fourth order over five step halvings, with the ode suite under 5 s:
+   ``rk4_vs_closed_form``, ``rk4_convergence_order``;
 3. a million-replicate exact simulation matches the closed-form law
    (goodness of fit, extinction mass, mean) within sampling error
    (``test_criterion_3_monte_carlo``);
 4. the implicit characterisation of the generating function holds to 1e-10
    on a 20x20 (t, s) grid: ``implicit_solution_identity``;
 5. the conditional law approaches its limit law at the first-order rate in
-   the decaying mean: ``tv_to_limit_decreasing``, ``tv_rate_consistency``;
+   the decaying mean M, exactly as TV = alpha M/2 + alpha A M^2/12 + O(M^4):
+   ``tv_to_limit_decreasing``, ``tv_rate_consistency``,
+   ``tv_first_order_rate``;
 6. the factorial moments, survival times the conditional family's, agree
    with numerical derivatives of the generating function and with the
    direct falling-factorial product:
@@ -69,6 +71,7 @@ SUITE_ROWS = {
     "limit": (
         "tv_to_limit_decreasing",
         "tv_rate_consistency",
+        "tv_first_order_rate",
         "extended_sibuya_bridge",
         "conditional_moments_to_limit",
     ),

@@ -20,7 +20,7 @@ from logbranch import (
     stream,
     streams,
 )
-from logbranch.simulate import _trajectories
+from logbranch.simulate import _expected_events, _trajectories
 
 
 class _FixedDraw:
@@ -46,6 +46,11 @@ class TestSimConfig:
     def test_rejects_bad_replicates(self, params_half):
         with pytest.raises(DomainError):
             SimConfig(params_half, (1.0,), 0, 42)
+
+    def test_rejects_replicates_past_the_streams(self, params_half):
+        # replicate i draws from stream(seed, i), and no stream has i >= 2**64
+        with pytest.raises(DomainError, match="one stream each"):
+            SimConfig(params_half, (1.0,), 2**64 + 1, 42)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_bad_seed(self, params_half, seed):
@@ -255,6 +260,41 @@ class TestEstimateLaw:
         expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
         statistic = float(((table - expected) ** 2 / expected).sum())
         assert mpmath.gammainc(7 / 2, statistic / 2, regularized=True) > 1e-3
+
+
+class TestEventBudget:
+    @pytest.mark.parametrize("alpha, rate, horizon", [
+        (0.5, 1.0, 2.0), (0.75, 1.0, 32.0), (0.3, 7.0, 0.01), (1e-6, 1.0, 1e6),
+        (0.5, 1e300, 1e300), (0.5, 1.0, math.inf)])
+    def test_expected_events_match_integral(self, alpha, rate, horizon):
+        # the integral of rate exp(c t) over [0, horizon] at 50 digits, with c
+        # taken from the float malthusian_rate, as the budget takes it
+        params = ModelParams(alpha, rate)
+        with mpmath.workdps(50):
+            c = mpmath.mpf(params.malthusian_rate)
+            exact = rate * mpmath.expm1(c * horizon) / c
+        assert _expected_events(params, horizon) == pytest.approx(float(exact), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha, horizon, replicates", [
+        # at alpha 1e-300, alpha^2 underflows, so c = -0.0 and a replicate
+        # takes about rate * t events; at alpha 0.5 a replicate takes 1.4
+        # events to t = 2, and 1e10 of them pass the budget together
+        (1e-300, 1e300, 1), (1e-300, math.inf, 1), (0.5, 2.0, 10**10), (0.5, 2.0, 2**64)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejects_before_any_draw(self, monkeypatch, alpha, horizon, replicates, workers):
+        def no_draws(*args):
+            raise AssertionError("a stream was built")
+
+        monkeypatch.setattr("logbranch.simulate.streams", no_draws)
+        cfg = SimConfig(ModelParams(alpha, 1.0), (1.0, horizon), replicates, 3)
+        with pytest.raises(DomainError, match="budget"):
+            estimate_law(cfg, workers=workers)
+
+    def test_fast_rate_to_far_horizon_runs(self):
+        # rate * t overflows, but the replicates take about A/alpha^2 = 2.8
+        # events each
+        laws = estimate_law(SimConfig(ModelParams(0.5, 1e300), (1e300,), 100, 3))
+        assert laws[0].counts == {0: 100}
 
 
 class TestEmpiricalLaw:

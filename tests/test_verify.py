@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,12 +16,14 @@ from logbranch import (
     pgf_complement,
     survival_prob,
 )
+from logbranch import verify
 from logbranch.verify import (
     Mechanism,
     _rk4,
     check_implicit_solution,
     integrate_backward,
     integrate_complement,
+    limit_suite,
     log_mixture_mechanism,
     numeric_conditional_limit,
     ode_suite,
@@ -295,6 +298,23 @@ class TestConditionalLimits:
         ratios = numeric_conditional_limit(log_mixture_mechanism(ModelParams(0.5, rate)))
         assert ratios == reference
 
+    def test_unit_argument_takes_no_solve(self, monkeypatch):
+        # G = 0 is a fixed point of every drift, so s = 1 needs no solve and
+        # its ratio is exactly 1.0; s = 0 reuses the survival solve
+        starts = []
+        solve = verify.integrate_complement
+
+        def counted(mech, g0, *args):
+            starts.append(g0)
+            return solve(mech, g0, *args)
+
+        monkeypatch.setattr(verify, "integrate_complement", counted)
+        for mech in standard_mechanisms():
+            assert mech.drift(0.0) == 0.0
+            starts.clear()
+            assert numeric_conditional_limit(mech)[-1] == 1.0
+            assert len(starts) == 5 and 0.0 not in starts
+
     def test_table_closed_forms_at_endpoints(self):
         for mech in standard_mechanisms():
             assert mech.limit_pgf(0.0) == pytest.approx(0.0, abs=1e-15)
@@ -315,6 +335,37 @@ class TestSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):
             run_suite("bogus")
+
+
+class TestSecondOrderTv:
+    @pytest.mark.parametrize("alpha, mean", [(0.5, 1e-3), (0.77, 1e-2)])
+    def test_expansion_at_fifty_digits(self, alpha, mean):
+        # TV between ExtendedSibuya(M, alpha) and LogSeries(alpha), summed
+        # term by term at 50 digits from their pmfs alone, against
+        # alpha M/2 + alpha A M^2/12; the first dropped term is
+        # -(alpha/A) x^4/720 with x = M A, so the gap lies within that bound
+        # and above half of it
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            m = mpmath.mpf(mean)
+            big_a = -mpmath.log1p(-a)
+            survival_norm = -mpmath.expm1(-m * big_a)  # 1 - (1 - alpha)^M
+            falling = m  # |[M]_n| / n!
+            power = a
+            total = mpmath.mpf(0)
+            for n in range(1, 600):  # alpha^600 < 1e-68
+                total += abs(power * falling / survival_norm - power / (n * big_a))
+                falling *= (n - m) / (n + 1)
+                power *= a
+            gap = abs(total / 2 - (a * m / 2 + a * big_a * m**2 / 12))
+            bound = (a / big_a) * (m * big_a) ** 4 / 720
+            assert bound / 2 < gap <= bound
+
+    def test_perturbed_constant_fails_the_row(self, monkeypatch):
+        # the row must see a 1% error in the second-order constant
+        monkeypatch.setattr(verify, "_TV_SECOND_ORDER", 1.01 / 12.0)
+        (row,) = [r for r in limit_suite() if r.name == "tv_first_order_rate"]
+        assert row.residual > row.tolerance
 
 
 class TestThreeWayAgreement:
