@@ -20,7 +20,8 @@ or two ``lgamma`` calls and an ``exp``.
 Sampling is exact: a prefix of the CDF is tabulated from the pmf and inverted
 by bisection; draws falling past the table run rejection under a certified
 geometric envelope p(n+1) <= r p(n), the one tail path every sampled law
-here (both families and the offspring law) admits.
+here (both families and the offspring law of a count-changing death)
+admits.
 
 Nothing here imports numpy when the module loads: the laws are stdlib
 ``math``, and the closed form and the ``pmf`` and ``limit`` commands import
@@ -37,7 +38,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .model import ModelParams, offspring_pmf
+from .model import ModelParams, changed_offspring_pmf
 
 if TYPE_CHECKING:
     import numpy as np
@@ -183,8 +184,13 @@ class LogSeries:
 
 
 def offspring_sampler(params: ModelParams) -> "InverseCdfSampler":
-    """Exact sampler for the reproduction law; tail ratio alpha holds from n >= 2."""
-    return InverseCdfSampler(partial(offspring_pmf, params), 0, ratio_bound=params.alpha)
+    """Exact sampler for the offspring law of a death that changes the count,
+    ``changed_offspring_pmf``: the reproduction law given eta != 1, which the
+    simulator draws at its count-changing events only.  The table holds a
+    zero-width entry at n = 1, which no uniform lands in; the tail ratio
+    alpha holds from n >= 2."""
+    return InverseCdfSampler(partial(changed_offspring_pmf, params), 0,
+                             ratio_bound=params.alpha)
 
 
 _WARM_MASS = 0.99  # cumulative probability a sampler's table is warmed to

@@ -114,6 +114,18 @@ class TimePoint:
             raise DomainError(f"mean must lie in (0, 1], got {self.mean!r}")
 
 
+def change_prob(params: ModelParams) -> float:
+    """q = P(eta != 1) = alpha^2 (1 + 1/A), the share of deaths that change
+    the count.
+
+    Taken as alpha (alpha + alpha/A), which has no 1 - (1 - x) cancellation
+    and no 1/A to overflow: at a subnormal alpha, alpha/A is 1 and q is
+    alpha, where alpha^2 alone would underflow to 0.
+    """
+    a = params.alpha
+    return a * (a + a / params.log_norm)
+
+
 def offspring_pmf(params: ModelParams, n: int) -> float:
     """P(eta = n) for the logarithmic-mixture offspring law."""
     if n < 0:
@@ -122,10 +134,30 @@ def offspring_pmf(params: ModelParams, n: int) -> float:
     if n == 0:
         return a
     if n == 1:
-        inv_norm = 1.0 / params.log_norm
-        # where A < 1/DBL_MAX, alpha^2 (1 + 1/A) is alpha, not 0 * inf = NaN
-        return 1.0 - (a if inv_norm == math.inf else a * a * (1.0 + inv_norm))
+        return 1.0 - change_prob(params)
     return (a / params.log_norm) * a**n / (n * (n - 1.0))
+
+
+def changed_offspring_pmf(params: ModelParams, n: int) -> float:
+    """P(eta = n | eta != 1), the offspring law of a death that changes the
+    count: ``offspring_pmf`` over ``change_prob`` off n = 1, in closed form::
+
+        P'(0) = A / (alpha (1 + A)) = 1 / (alpha + alpha/A)
+        P'(1) = 0
+        P'(n) = alpha^(n-1) / ((1 + A) n (n - 1)),   n >= 2
+
+    Dividing the two floats instead would lose every term at tiny alpha,
+    where P(eta = n) underflows for n >= 2 while P'(2) is alpha/2.  The tail
+    ratio P'(n+1)/P'(n) = alpha (n - 1)/(n + 1) stays below alpha.
+    """
+    if n < 0:
+        raise DomainError(f"offspring count must be nonnegative, got {n!r}")
+    a = params.alpha
+    if n == 0:
+        return 1.0 / (a + a / params.log_norm)
+    if n == 1:
+        return 0.0
+    return a ** (n - 1) / ((1.0 + params.log_norm) * (n * (n - 1.0)))
 
 
 def _log_ratio(params: ModelParams, s: float) -> float:

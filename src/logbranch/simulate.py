@@ -1,15 +1,21 @@
 """Event-driven exact simulation of the branching process.
 
-A population of ``count`` particles jumps after an Exp(rate * count) holding
-time; one particle dies and is replaced by a draw from the offspring law, so
-the count moves by (offspring - 1).  No discretization is involved: replicate
-trajectories follow the continuous-time law exactly, and every replicate owns
-a dedicated counter-based RNG stream keyed by (seed, replicate index), which
-makes runs reproducible replicate by replicate and independent of scheduling.
-The one event loop, ``_trajectories``, walks a whole range of replicates on
-one Generator re-keyed in place by ``streams``, so replicate i still draws
-exactly what ``stream(seed, i)`` draws; ``simulate_counts`` is that loop run
-on a single Generator.
+Each of ``count`` particles dies after an Exp(rate) lifetime and is replaced
+by a draw from the offspring law.  A death replaced by one particle leaves
+the count as it was, so the simulator thins those deaths out of the clock
+(Poisson thinning): deaths that change the count come after an
+Exp(rate q count) holding time, q = P(eta != 1) = ``change_prob``, and each
+is replaced by a draw from the offspring law given eta != 1.  The path of
+counts has the same law as with every death simulated, and a replicate takes
+at most 1 + A count-changing events on average at every alpha, where the
+unit deaths alone number A/alpha^2 - (1 + A).  No discretization is
+involved, and every replicate owns a dedicated counter-based RNG stream
+keyed by (seed, replicate index), which makes runs reproducible replicate by
+replicate and independent of scheduling.  The one event loop,
+``_trajectories``, walks a whole range of replicates on one Generator
+re-keyed in place by ``streams``, so replicate i still draws exactly what
+``stream(seed, i)`` draws; ``simulate_counts`` is that loop run on a single
+Generator.
 
 Importing this module loads neither numpy nor the process pool: the functions
 that build Generators or arrays import numpy, and ``estimate_law`` imports the
@@ -26,14 +32,14 @@ from typing import TYPE_CHECKING
 
 from .distributions import InverseCdfSampler, offspring_sampler
 from .errors import DomainError, PopulationCapExceeded
-from .model import ModelParams
+from .model import ModelParams, change_prob
 
 if TYPE_CHECKING:
     import numpy as np
 
 _PATH_BLOCK = 4096  # replicates whose paths are counted before they are split
 _MAX_POPULATION = 10_000_000  # default population cap of SimConfig and the CLI
-_EVENT_BUDGET = 1e10  # most expected events one estimate_law run may take
+_EVENT_BUDGET = 1e10  # most expected units of work one estimate_law run may take
 
 
 def streams(seed: int, start: int, stop: int) -> "Iterator[np.random.Generator]":
@@ -111,20 +117,48 @@ class SimConfig:
             )
 
 
+def _product(*factors: float) -> float:
+    """The product of positive floats, rounded once to the float range: the
+    factors' mantissas are multiplied apart from their exponents, so no
+    partial product over- or underflows where the whole does not.  inf past
+    the largest float, and for an inf factor."""
+    mantissa, exponent = 1.0, 0
+    for factor in factors:
+        m, e = math.frexp(factor)
+        mantissa *= m
+        exponent += e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
+
+
 def _trajectories(params: ModelParams, horizons, rngs, sampler: InverseCdfSampler,
                   max_population: int) -> Iterator[tuple]:
     """Counts observed at each horizon along one trajectory from X(0) = 1,
     as one tuple per Generator in ``rngs``.
+
+    Only count-changing events are simulated: they come at rate
+    rate q count, q = ``change_prob(params)``, and each replaces the dying
+    particle by a draw from ``sampler``, the offspring law given eta != 1.
+    q comes from ``params`` and never from the sampler, which may be any
+    object with a ``draw``.  Time runs in units of 1/(rate q), so a holding
+    time is one exponential over the count, and each horizon is converted
+    once, as ``_product(rate, q, horizon)``, which is rounded once even where
+    rate q alone underflows.  Where it rounds to 0 or overflows to inf, no
+    positive float sum of holding times lies between it and the exact value,
+    so no event is put on the wrong side of a horizon.
 
     Each trajectory draws from its own Generator only: an exponential holding
     time per event, then an offspring draw unless the event falls past the
     last horizon.  An extinct population fills the remaining horizons with
     zeros without drawing again.
     """
-    bounds = (*horizons, math.inf)  # the sentinel ends every horizon scan
+    q = change_prob(params)
+    # the sentinel ends every horizon scan
+    bounds = (*(_product(params.rate, q, h) for h in horizons), math.inf)
     n_horizons = len(horizons)
     zeros = (0,) * n_horizons
-    rate = params.rate
     draw = sampler.draw
     for rng in rngs:
         expo = rng.standard_exponential
@@ -133,7 +167,7 @@ def _trajectories(params: ModelParams, horizons, rngs, sampler: InverseCdfSample
         t = 0.0
         i = 0
         while count:
-            t += expo() / (rate * count)
+            t += expo() / count
             while bounds[i] < t:
                 path += (count,)
                 i += 1
@@ -181,17 +215,17 @@ class EmpiricalLaw:
 
 
 def _expected_events(params: ModelParams, horizon: float) -> float:
-    """Expected events of one replicate up to ``horizon``: the integral of
-    rate E[X(t)] = rate e^(c t) over [0, horizon], c = ``malthusian_rate``,
-    which is rate T expm1(c T)/(c T) at T = horizon, or rate T where c or
-    c T rounds to 0.  It is taken as rate expm1(c T)/c, equal to
-    A (-expm1(c T))/alpha^2, which stays finite where rate T overflows and
-    c T is -inf."""
-    c = params.malthusian_rate
-    x = c * horizon
-    if c == 0.0 or x == 0.0:
-        return params.rate * horizon
-    return params.rate * math.expm1(x) / c
+    """Expected count-changing events of one replicate up to ``horizon``:
+    the integral of rate q E[X(t)] = rate q e^(c t) over [0, horizon],
+    c = -rate alpha^2/A the ``malthusian_rate`` and q = ``change_prob``.
+    Since rate q/c = -(1 + A), it is (1 + A)(1 - e^(c T)) at T = horizon,
+    at most 1 + A.  -c T is taken as ``_product(rate, T, alpha (alpha/A))``,
+    not from ``malthusian_rate``, whose alpha^2 underflows below alpha
+    1.5e-154 and would make c = -0.0: no partial product over- or
+    underflows, and T = inf gives 1 + A."""
+    a = params.alpha
+    decay = _product(params.rate, horizon, a * (a / params.log_norm))
+    return (1.0 + params.log_norm) * -math.expm1(-decay)
 
 
 def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
@@ -224,15 +258,18 @@ def estimate_law(cfg: SimConfig, workers: int = 1) -> list:
     what ``stream(seed, i)`` draws, and histogram merging is commutative.
     ``workers`` is capped at the CPU count: a process pool forks all of its
     workers at once, so the cap keeps a huge request from exhausting the
-    process table.  Raises DomainError, before any draw, when the replicates
-    expect more than ``_EVENT_BUDGET`` events up to the last horizon in all.
+    process table.  Raises DomainError, before any draw, when the work
+    expected, replicates x (1 + count-changing events up to the last
+    horizon), exceeds ``_EVENT_BUDGET``: a replicate that takes no event
+    still costs its re-key and one holding-time draw.
     """
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers!r}")
-    events = cfg.replicates * _expected_events(cfg.params, cfg.horizons[-1])
-    if not events <= _EVENT_BUDGET:
+    work = cfg.replicates * (1.0 + _expected_events(cfg.params, cfg.horizons[-1]))
+    if not work <= _EVENT_BUDGET:
         raise DomainError(f"{cfg.replicates} replicates to t={cfg.horizons[-1]!r} expect "
-                          f"{events:.3g} events, past the budget of {_EVENT_BUDGET:.0e}")
+                          f"{work:.3g} re-keys and events, past the budget of "
+                          f"{_EVENT_BUDGET:.0e}")
     workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or cfg.replicates < 4 * workers:
         tallies = _tally_range(cfg, 0, cfg.replicates)

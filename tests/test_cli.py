@@ -363,10 +363,11 @@ class TestSimulateCommand:
         assert "t=2100.0" in result.output
 
     def test_rejects_runaway_event_count(self, runner):
-        # alpha^2 underflows, so the process takes about rate * t = 1e300
-        # events; the budget stops the run before any draw
+        # a replicate takes 1 - e^-1 count-changing events here, and costs one
+        # more unit for its stream; 1e11 of them would run for days, and the
+        # budget stops the run before any draw
         result = runner.invoke(cli, ["simulate", "--alpha", "1e-300", "--k", "1",
-                                     "--times", "1e300", "--replicates", "1"])
+                                     "--times", "1e300", "--replicates", "100000000000"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "past the budget" in result.output
@@ -405,13 +406,13 @@ class TestSimulateCommand:
         assert header[:3] == ["time", "n", "count"]
         triples = [(float(t), int(n), int(c)) for t, n, c, *_ in rows]
         assert triples == [
-            (1.0, 0, 2448), (1.0, 1, 2107), (1.0, 2, 256), (1.0, 3, 95),
-            (1.0, 4, 40), (1.0, 5, 14), (1.0, 6, 18), (1.0, 7, 5), (1.0, 8, 9),
-            (1.0, 9, 2), (1.0, 10, 3), (1.0, 11, 2), (1.0, 12, 1),
-            (4.0, 0, 4467), (4.0, 1, 334), (4.0, 2, 102), (4.0, 3, 29),
-            (4.0, 4, 26), (4.0, 5, 12), (4.0, 6, 9), (4.0, 7, 8), (4.0, 8, 3),
-            (4.0, 9, 4), (4.0, 10, 3), (4.0, 12, 1), (4.0, 15, 2),
-            (16.0, 0, 4993), (16.0, 1, 6), (16.0, 11, 1),
+            (1.0, 0, 2440), (1.0, 1, 2123), (1.0, 2, 255), (1.0, 3, 92),
+            (1.0, 4, 37), (1.0, 5, 17), (1.0, 6, 13), (1.0, 7, 9), (1.0, 8, 4),
+            (1.0, 9, 3), (1.0, 10, 3), (1.0, 11, 3), (1.0, 12, 1),
+            (4.0, 0, 4455), (4.0, 1, 348), (4.0, 2, 91), (4.0, 3, 46),
+            (4.0, 4, 23), (4.0, 5, 11), (4.0, 6, 10), (4.0, 7, 4), (4.0, 8, 4),
+            (4.0, 9, 5), (4.0, 10, 1), (4.0, 14, 1), (4.0, 15, 1),
+            (16.0, 0, 4995), (16.0, 1, 4), (16.0, 2, 1),
         ]
 
 

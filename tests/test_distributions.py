@@ -13,11 +13,11 @@ from logbranch import (
     InverseCdfSampler,
     LogSeries,
     ModelParams,
-    offspring_pmf,
     offspring_sampler,
     stream,
     streams,
 )
+from logbranch.model import changed_offspring_pmf
 
 gammas = st.floats(min_value=0.05, max_value=0.95)
 bs = st.floats(min_value=0.05, max_value=0.95)
@@ -256,8 +256,13 @@ class TestSamplers:
         assert gof_pvalue(draws, law.pmf, 1, 30) > 1e-3
 
     def test_offspring_gof(self, gof_pvalue, params_half):
+        # the law given eta != 1, which never draws 1; draws above 1 move down
+        # by one, so none of the 30 bins is the empty one at n = 1
         draws = offspring_sampler(params_half).draw_many(stream(424242, 3), 1_000_000)
-        assert gof_pvalue(draws, lambda n: offspring_pmf(params_half, n), 0, 30) > 1e-3
+        assert not (draws == 1).any()
+        assert gof_pvalue(draws - (draws > 1),
+                          lambda n: changed_offspring_pmf(params_half, n + (n > 0)),
+                          0, 30) > 1e-3
 
     @pytest.fixture()
     def short_table(self, monkeypatch):

@@ -4,8 +4,9 @@ for a probability, at most 1 in absolute value for a pgf, a nonnegative
 integer for a draw), raises one of the package's typed errors, or raises
 OverflowError where its docstring promises it.
 
-The simulator is left out: at tiny alpha a replicate runs about
-min(rate * T, A / alpha^2) events, far past any test's time."""
+The simulator is swept through the ``simulate`` command: it simulates only
+the deaths that change the count, at most 1 + A of them a replicate on
+average at every alpha, so every corner runs in milliseconds."""
 
 import math
 import traceback
@@ -231,3 +232,18 @@ def test_cli_corners(fmt):
                         result = runner.invoke(cli, args + conditional)
                         assert result.exit_code in (0, 2), (args, result.output)
                         assert isinstance(result.exception, (type(None), SystemExit))
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-6, 0.05, ALPHA_TOP])
+def test_simulate_corners(alpha):
+    # the simulator at the corners of the grid: a table, a usage error for
+    # an M below the normal range, or another typed error's exit code, and
+    # never a traceback
+    runner = CliRunner()
+    for rate in (1e-300, 1.0, 1e300):
+        for t in (1e-12, 1.0, 1e6):
+            args = ["simulate", "--alpha", repr(alpha), "--k", repr(rate),
+                    "--times", repr(t), "--replicates", "200", "--seed", "1"]
+            result = runner.invoke(cli, args)
+            assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+            assert isinstance(result.exception, (type(None), SystemExit)), args

@@ -14,6 +14,7 @@ from logbranch import (
     infinitesimal_gen,
     offspring_pmf,
 )
+from logbranch.model import change_prob, changed_offspring_pmf
 
 # mixture weights safely inside the admissible interval
 alphas = st.floats(min_value=0.01, max_value=0.75)
@@ -157,6 +158,61 @@ class TestOffspringPmf:
         params = ModelParams(alpha, 1.0)
         series = math.fsum(n * offspring_pmf(params, n) for n in range(1, 400))
         assert series == pytest.approx(params.offspring_mean, rel=1e-10)
+
+
+# the weights the event clock of the simulator is checked at, from the least
+# subnormal to the last float below the critical weight
+_CLOCK_ALPHAS = [5e-324, 1e-300, 1e-8, 0.05, 0.5, math.nextafter(ALPHA_CRITICAL, 0.0)]
+
+
+def _close(value, exact):
+    # to 4 ulps in the normal range, and to one step of the subnormal grid
+    # below it
+    return abs(value - exact) <= max(4 * sys.float_info.epsilon * exact, 5e-324)
+
+
+class TestChangedOffspringPmf:
+    """q = P(eta != 1) and the law given eta != 1, which the simulator draws
+    at its count-changing events, against 50-digit mpmath."""
+
+    @staticmethod
+    def _exact(alpha, n_max):
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            a_const = -mpmath.log1p(-a)
+            q = a * a * (1 + 1 / a_const)
+            probs = [a / q, mpmath.mpf(0)]
+            probs += [a / a_const * a**n / (n * (n - 1)) / q for n in range(2, n_max + 1)]
+            return float(q), [float(p) for p in probs]
+
+    @pytest.mark.parametrize("alpha", _CLOCK_ALPHAS)
+    def test_matches_mpmath(self, alpha):
+        params = ModelParams(alpha, 1.0)
+        q, probs = self._exact(alpha, 60)
+        assert _close(change_prob(params), q)
+        assert 0.0 < change_prob(params) <= 1.0
+        for n, exact in enumerate(probs):
+            assert _close(changed_offspring_pmf(params, n), exact), n
+
+    @pytest.mark.parametrize("alpha", _CLOCK_ALPHAS)
+    def test_normalizes(self, alpha):
+        # the terms past 400 sum to less than alpha^400 / (1 - alpha)
+        params = ModelParams(alpha, 1.0)
+        total = math.fsum(changed_offspring_pmf(params, n) for n in range(400))
+        assert total == pytest.approx(1.0, abs=4e-16)
+
+    @pytest.mark.parametrize("alpha", [1e-8, 0.05, 0.5])
+    def test_is_offspring_law_given_change(self, alpha):
+        params = ModelParams(alpha, 1.0)
+        q = change_prob(params)
+        assert offspring_pmf(params, 1) == 1.0 - q
+        for n in (0, 2, 3, 10):
+            assert changed_offspring_pmf(params, n) == pytest.approx(
+                offspring_pmf(params, n) / q, rel=1e-14)
+
+    def test_rejects_negative(self, params_half):
+        with pytest.raises(DomainError):
+            changed_offspring_pmf(params_half, -1)
 
 
 class TestReproductionPgf:

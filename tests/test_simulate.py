@@ -20,7 +20,8 @@ from logbranch import (
     stream,
     streams,
 )
-from logbranch.simulate import _expected_events, _trajectories
+from logbranch.model import change_prob
+from logbranch.simulate import _expected_events, _product, _trajectories
 
 
 class _FixedDraw:
@@ -78,12 +79,13 @@ class TestStep:
 
     def test_burst_increments(self, params_half):
         # _FixedDraw takes no draws, so the holding times are the stream's
-        # exponentials scaled by rate * count for counts 1, 5 and 9
+        # exponentials scaled by rate * q * count for counts 1, 5 and 9
         rng = stream(1, 0)
         horizons = []
         now = 0.0
         for count in (1, 5, 9):
-            wait = rng.standard_exponential() / (params_half.rate * count)
+            wait = rng.standard_exponential() / (params_half.rate * change_prob(params_half)
+                                                 * count)
             horizons.append(now + wait / 2)
             now += wait
         counts = simulate_counts(params_half, tuple(horizons), stream(1, 0),
@@ -100,14 +102,15 @@ class TestStep:
                              [(1.0, 31, 50_000), (4.0, 8, 20_000)],
                              ids=["rate-1", "rate-4"])
     def test_first_event_clock(self, rate, seed, draws):
-        # from X(0) = 1 the first event comes after Exp(rate), and death makes
-        # it the last: P(X(h) = 1) = exp(-rate * h), within 4 SE
+        # from X(0) = 1 the first count-changing event comes after
+        # Exp(rate * q), and death makes it the last:
+        # P(X(h) = 1) = exp(-rate * q * h), within 4 SE
         params = ModelParams(0.5, rate)
         h = 0.25
         rng = stream(seed, 0)
         alive = np.mean([simulate_counts(params, (h,), rng, sampler=_FixedDraw(0))[0]
                          for _ in range(draws)])
-        expected = math.exp(-rate * h)
+        expected = math.exp(-rate * change_prob(params) * h)
         se = math.sqrt(expected * (1.0 - expected) / draws)
         assert abs(alive - expected) < 4 * se
 
@@ -267,34 +270,106 @@ class TestEventBudget:
         (0.5, 1.0, 2.0), (0.75, 1.0, 32.0), (0.3, 7.0, 0.01), (1e-6, 1.0, 1e6),
         (0.5, 1e300, 1e300), (0.5, 1.0, math.inf)])
     def test_expected_events_match_integral(self, alpha, rate, horizon):
-        # the integral of rate exp(c t) over [0, horizon] at 50 digits, with c
-        # taken from the float malthusian_rate, as the budget takes it
+        # the integral of rate q exp(c t) over [0, horizon] at 50 digits, with
+        # q = alpha^2 (1 + 1/A) and c = -rate alpha^2/A taken from alpha
         params = ModelParams(alpha, rate)
         with mpmath.workdps(50):
-            c = mpmath.mpf(params.malthusian_rate)
-            exact = rate * mpmath.expm1(c * horizon) / c
+            a = mpmath.mpf(alpha)
+            a_const = -mpmath.log1p(-a)
+            q = a * a * (1 + 1 / a_const)
+            c = -rate * a * a / a_const
+            exact = rate * q * mpmath.expm1(c * horizon) / c
         assert _expected_events(params, horizon) == pytest.approx(float(exact), rel=1e-13)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1e-8, 0.5])
+    def test_expected_events_to_extinction(self, alpha):
+        # 1 + A at T = inf, where malthusian_rate is -0.0 below alpha 1.5e-154
+        params = ModelParams(alpha, 1.0)
+        with mpmath.workdps(50):
+            exact = 1 - mpmath.log1p(-mpmath.mpf(alpha))
+        assert _expected_events(params, math.inf) == pytest.approx(float(exact), rel=1e-15)
+
     @pytest.mark.parametrize("alpha, horizon, replicates", [
-        # at alpha 1e-300, alpha^2 underflows, so c = -0.0 and a replicate
-        # takes about rate * t events; at alpha 0.5 a replicate takes 1.4
-        # events to t = 2, and 1e10 of them pass the budget together
-        (1e-300, 1e300, 1), (1e-300, math.inf, 1), (0.5, 2.0, 10**10), (0.5, 2.0, 2**64)])
+        # a replicate costs 1 + its expected count-changing events: 1.9 at
+        # alpha 0.5 to t = 2, 1 where no event is expected (1e13 replicates
+        # to t = 1e-12 would run for months), and 2 at alpha 1e-300 to
+        # t = inf, where one death ends every replicate
+        (0.5, 2.0, 10**10), (0.5, 2.0, 2**64), (0.5, 1e-12, 10**13),
+        (1e-300, math.inf, 10**10)])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rejects_before_any_draw(self, monkeypatch, alpha, horizon, replicates, workers):
         def no_draws(*args):
             raise AssertionError("a stream was built")
 
         monkeypatch.setattr("logbranch.simulate.streams", no_draws)
-        cfg = SimConfig(ModelParams(alpha, 1.0), (1.0, horizon), replicates, 3)
+        cfg = SimConfig(ModelParams(alpha, 1.0), (min(1.0, horizon / 2), horizon),
+                        replicates, 3)
         with pytest.raises(DomainError, match="budget"):
             estimate_law(cfg, workers=workers)
 
+    @pytest.mark.parametrize("alpha, horizon, replicates", [
+        # every death simulated, these would take 1e300, 1e300 and 1.3e10
+        # events; the count-changing ones number about 1 a replicate
+        (1e-300, 1e300, 1), (1e-300, math.inf, 10), (1e-6, 1e6, 20_000)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cheap_small_weight_runs(self, alpha, horizon, replicates, workers):
+        params = ModelParams(alpha, 1.0)
+        laws = estimate_law(SimConfig(params, (1.0, horizon), replicates, 3),
+                            workers=workers)
+        assert all(sum(law.counts.values()) == replicates for law in laws)
+        if horizon == math.inf:
+            assert laws[-1].counts == {0: replicates}
+
     def test_fast_rate_to_far_horizon_runs(self):
-        # rate * t overflows, but the replicates take about A/alpha^2 = 2.8
-        # events each
+        # rate * t overflows, but the replicates take about 1 + A = 1.7
+        # count-changing events each
         laws = estimate_law(SimConfig(ModelParams(0.5, 1e300), (1e300,), 100, 3))
         assert laws[0].counts == {0: 100}
+
+
+class TestEventClock:
+    """Count-changing events at rate rate * q, on a clock in units of
+    1/(rate * q) whose horizons are converted by ``_product``."""
+
+    @pytest.mark.parametrize("rate, alpha, horizon", [
+        # rate * q underflows to 0, rate * q is subnormal, and rate * horizon
+        # overflows, each where the whole product is a normal float
+        (1e-300, 1e-30, 1e308), (1e-300, 1e-10, 1e308), (1e300, 5e-324, 1e30),
+        (1.0, 0.5, 2.0)])
+    def test_converted_horizon_is_exact(self, rate, alpha, horizon):
+        params = ModelParams(alpha, rate)
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            exact = rate * a * a * (1 - 1 / mpmath.log1p(-a)) * horizon
+        assert _product(rate, change_prob(params), horizon) == pytest.approx(
+            float(exact), rel=1e-15)
+
+    def test_product_range(self):
+        assert _product(1e300, 1e300) == math.inf
+        assert _product(2.0, math.inf) == math.inf
+        assert _product(1e-300, 1e-300) == 0.0
+        assert _product(1e-300, 1e-20, 1e300) == pytest.approx(1e-20, rel=1e-15)
+
+    @pytest.mark.parametrize("rate, alpha", [(1e-300, 1e-300), (5e-324, 5e-324)])
+    def test_underflowing_event_rate_keeps_one_particle(self, rate, alpha):
+        # rate * q underflows to 0: no ZeroDivisionError, and the chance of
+        # an event before t = 1e300 is below 1e-300, so none comes
+        params = ModelParams(alpha, rate)
+        assert rate * change_prob(params) == 0.0
+        laws = estimate_law(SimConfig(params, (1.0, 1e300), 1000, 5))
+        assert [law.counts for law in laws] == [{1: 1000}, {1: 1000}]
+
+    @pytest.mark.parametrize("alpha, horizon, nbins, seed", [
+        (0.05, 10.0, 3, 2605), (1e-3, 500.0, 2, 2606)])
+    def test_small_weight_law(self, gof_pvalue, alpha, horizon, nbins, seed):
+        # where thinning drops 95% and 99.9% of the deaths: the histogram and
+        # the extinction frequency against the closed form; the last bin,
+        # n >= nbins, expects 13.8 and 11.9 replicates
+        params = ModelParams(alpha, 1.0)
+        law = estimate_law(SimConfig(params, (horizon,), 100_000, seed))[0]
+        tp = params.at(horizon)
+        assert gof_pvalue(law.counts, lambda n: pmf(params, tp, n), 0, nbins) > 1e-3
+        assert gof_pvalue(law.counts, lambda n: pmf(params, tp, n), 0, 1) > 1e-3
 
 
 class TestEmpiricalLaw:
