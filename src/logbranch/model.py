@@ -74,11 +74,14 @@ class ModelParams:
         if not 0.0 < self.rate < math.inf:
             raise DomainError(f"rate must be positive and finite, got {self.rate!r}")
         a_const = -math.log1p(-self.alpha)
+        square = self.alpha**2
         object.__setattr__(self, "log_norm", a_const)
-        object.__setattr__(self, "offspring_mean", 1.0 - self.alpha**2 / a_const)
-        object.__setattr__(
-            self, "malthusian_rate", -self.rate * self.alpha**2 / a_const
-        )
+        object.__setattr__(self, "offspring_mean", 1.0 - square / a_const)
+        # alpha^2 leaves the normal range below alpha 1.5e-154, where alpha/A
+        # is about 1 and keeps every bit
+        object.__setattr__(self, "malthusian_rate",
+                           -self.rate * square / a_const if square >= sys.float_info.min
+                           else -self.rate * self.alpha * (self.alpha / a_const))
 
     def at(self, t: float) -> "TimePoint":
         """Time point carrying the decayed mean E[X(t)] = exp(malthusian_rate * t).

@@ -11,11 +11,18 @@ at most 1 + A count-changing events on average at every alpha, where the
 unit deaths alone number A/alpha^2 - (1 + A).  No discretization is
 involved, and every replicate owns a dedicated counter-based RNG stream
 keyed by (seed, replicate index), which makes runs reproducible replicate by
-replicate and independent of scheduling.  The one event loop,
-``_trajectories``, walks a whole range of replicates on one Generator
-re-keyed in place by ``streams``, so replicate i still draws exactly what
-``stream(seed, i)`` draws; ``simulate_counts`` is that loop run on a single
-Generator.
+replicate and independent of scheduling.
+
+A replicate has one definition, the scalar event loop ``_trajectories``:
+``simulate_counts`` runs it on one Generator.  ``estimate_law`` evaluates
+that loop a block of replicates at a time (``_lockstep``): the block's rows
+advance event by event together as numpy arrays, each row reading its own
+stream's Philox words, computed for the whole block at once by
+``_philox_block``, so replicate i still draws exactly what ``stream(seed,
+i)`` draws and its path is the scalar loop's, bit for bit.  The rows the
+block cannot finish that way, those whose offspring draw takes the
+sampler's rejection tail and the last few stragglers, are handed to the
+scalar loop, which reruns them from their streams.
 
 Importing this module loads neither numpy nor the process pool: the functions
 that build Generators or arrays import numpy, and ``estimate_law`` imports the
@@ -27,7 +34,6 @@ import os
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from .distributions import InverseCdfSampler, offspring_sampler
@@ -37,28 +43,23 @@ from .model import ModelParams, change_prob
 if TYPE_CHECKING:
     import numpy as np
 
-_PATH_BLOCK = 4096  # replicates whose paths are counted before they are split
+_PATH_BLOCK = 4096  # replicates the block loop advances together
 _MAX_POPULATION = 10_000_000  # default population cap of SimConfig and the CLI
 _EVENT_BUDGET = 1e10  # most expected units of work one estimate_law run may take
+_STRAGGLERS = 16  # a block hands its rows to the scalar loop once fewer remain
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Philox4x64 key increments
 
 
-def streams(seed: int, start: int, stop: int) -> "Iterator[np.random.Generator]":
-    """``stream(seed, i)`` for each i in ``range(start, stop)``, as one Generator.
-
-    A Philox stream is fully determined by its key and counter, so one Philox
-    is re-keyed in place to (seed, i) with a fresh counter and an empty
-    buffer: each yielded Generator draws exactly what ``stream(seed, i)``
-    would, without building a new one.  Each is valid only until the next
-    one is yielded.  The reused state holds plain ints rather than the uint64
-    arrays ``bitgen.state`` returns, since the setter reads them element by
-    element and an array would make a numpy scalar of each on every re-key.
+def _rekeyer(seed: int):
+    """A function of i that re-keys one reused Philox in place to (seed, i),
+    with a fresh counter and an empty buffer, and returns its Generator: it
+    then draws exactly what ``stream(seed, i)`` would, without building a
+    new one.  The returned Generator is valid only until the next call.  The
+    reused state holds plain ints rather than the uint64 arrays
+    ``bitgen.state`` returns, since the setter reads them element by element
+    and an array would make a numpy scalar of each on every re-key.
     """
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must fit in 64 bits, got {seed!r}")
-    if not 0 <= start <= stop <= 2**64:
-        raise DomainError(
-            f"stream indices must satisfy 0 <= start <= stop <= 2**64, got {start!r}, {stop!r}"
-        )
     import numpy as np
 
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
@@ -73,7 +74,25 @@ def streams(seed: int, start: int, stop: int) -> "Iterator[np.random.Generator]"
         bitgen.state = fresh
         return rng
 
-    return map(rekeyed, range(start, stop))
+    return rekeyed
+
+
+def streams(seed: int, start: int, stop: int) -> "Iterator[np.random.Generator]":
+    """``stream(seed, i)`` for each i in ``range(start, stop)``, as one Generator
+    re-keyed in place, so each is valid only until the next one is yielded.
+
+    Stream i is the Philox4x64-10 stream keyed (seed, i), and
+    ``rng.random()`` is (w >> 11) * 2**-53 of its next 64-bit word w, so its
+    k-th call reads word k - 1 of ``rng.bit_generator.random_raw``; the
+    block loop computes those words directly (``_philox_block``).
+    """
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must fit in 64 bits, got {seed!r}")
+    if not 0 <= start <= stop <= 2**64:
+        raise DomainError(
+            f"stream indices must satisfy 0 <= start <= stop <= 2**64, got {start!r}, {stop!r}"
+        )
+    return map(_rekeyer(seed), range(start, stop))
 
 
 def stream(seed: int, index: int = 0) -> "np.random.Generator":
@@ -133,41 +152,48 @@ def _product(*factors: float) -> float:
         return math.inf
 
 
+def _clock(params: ModelParams, horizons) -> tuple:
+    """The horizons on the event clock, in units of 1/(rate q): each is
+    ``_product(rate, q, horizon)``, rounded once even where rate q alone
+    underflows.  Where it rounds to 0 or overflows to inf, no positive float
+    sum of holding times lies between it and the exact value, so no event is
+    put on the wrong side of a horizon."""
+    q = change_prob(params)
+    return tuple(_product(params.rate, q, h) for h in horizons)
+
+
 def _trajectories(params: ModelParams, horizons, rngs, sampler: InverseCdfSampler,
                   max_population: int) -> Iterator[tuple]:
     """Counts observed at each horizon along one trajectory from X(0) = 1,
-    as one tuple per Generator in ``rngs``.
+    as one tuple per Generator in ``rngs``: the one definition of a
+    replicate, which ``_lockstep`` evaluates a block at a time.
 
     Only count-changing events are simulated: they come at rate
     rate q count, q = ``change_prob(params)``, and each replaces the dying
     particle by a draw from ``sampler``, the offspring law given eta != 1.
     q comes from ``params`` and never from the sampler, which may be any
-    object with a ``draw``.  Time runs in units of 1/(rate q), so a holding
-    time is one exponential over the count, and each horizon is converted
-    once, as ``_product(rate, q, horizon)``, which is rounded once even where
-    rate q alone underflows.  Where it rounds to 0 or overflows to inf, no
-    positive float sum of holding times lies between it and the exact value,
-    so no event is put on the wrong side of a horizon.
+    object with a ``draw``.  Time runs in units of 1/(rate q) (``_clock``),
+    so a holding time is one exponential over the count.
 
-    Each trajectory draws from its own Generator only: an exponential holding
-    time per event, then an offspring draw unless the event falls past the
-    last horizon.  An extinct population fills the remaining horizons with
-    zeros without drawing again.
+    Each trajectory draws from its own Generator only: per event, a uniform
+    u whose -log1p(-u) is the exponential holding time, then an offspring
+    draw unless the event falls past the last horizon.  An extinct
+    population fills the remaining horizons with zeros without drawing again.
     """
-    q = change_prob(params)
     # the sentinel ends every horizon scan
-    bounds = (*(_product(params.rate, q, h) for h in horizons), math.inf)
+    bounds = (*_clock(params, horizons), math.inf)
     n_horizons = len(horizons)
     zeros = (0,) * n_horizons
     draw = sampler.draw
+    log1p = math.log1p
     for rng in rngs:
-        expo = rng.standard_exponential
+        uniform = rng.random
         path = ()
         count = 1
         t = 0.0
         i = 0
         while count:
-            t += expo() / count
+            t -= log1p(-uniform()) / count
             while bounds[i] < t:
                 path += (count,)
                 i += 1
@@ -181,13 +207,151 @@ def _trajectories(params: ModelParams, horizons, rngs, sampler: InverseCdfSample
         yield path + zeros[i:]
 
 
+def _philox_block(seed: int, index: "np.ndarray", block: int) -> "np.ndarray":
+    """Words 4 block to 4 block + 3 of each stream(seed, i), i in ``index``
+    (uint64), as the rows of a (4, len(index)) uint64 array.
+
+    This is Philox4x64-10 (Salmon et al., SC'11) as numpy's ``Philox`` runs
+    it: key (seed, i), and counter (block + 1, 0, 0, 0), since numpy
+    increments the counter before it generates.  numpy has no 128-bit
+    integer, so each round multiplies words 0 and 2 together as one (2, n)
+    array and takes the high words of the products from 32-bit halves.  The
+    first round's counter is the same for every column, so it is done on
+    Python ints: only its word 2 depends on i.
+    """
+    import numpy as np
+
+    u64 = np.uint64
+    lo32, s32 = u64(0xFFFFFFFF), u64(32)
+    n = len(index)
+    # the multipliers of words 0 and 2, their 32-bit halves, the key
+    # increments and the key
+    mul, m_lo, m_hi, bump, key = np.empty((5, 2, n), u64)
+    mul[0], mul[1] = _PHILOX_M
+    np.bitwise_and(mul, lo32, out=m_lo)
+    np.right_shift(mul, s32, out=m_hi)
+    bump[0], bump[1] = _PHILOX_W
+    key[0], key[1] = seed, index
+    # a holds words 0 and 2, b words 3 and 1 (reversed, as the round
+    # writes them), after the first round
+    a, b, spare, a_lo, a_hi, t, v, high = np.empty((8, 2, n), u64)
+    high0, low0 = divmod((block + 1) * _PHILOX_M[0], 2**64)
+    a[0] = seed
+    np.bitwise_xor(index, u64(high0), out=a[1])
+    b[0], b[1] = low0, 0
+    for _ in range(9):
+        key += bump
+        np.bitwise_and(a, lo32, out=a_lo)
+        np.right_shift(a, s32, out=a_hi)
+        np.multiply(a_lo, m_lo, out=t)
+        np.right_shift(t, s32, out=t)
+        np.multiply(a_hi, m_lo, out=v)
+        np.add(t, v, out=t)
+        np.multiply(a_lo, m_hi, out=a_lo)
+        np.bitwise_and(t, lo32, out=v)
+        np.add(a_lo, v, out=a_lo)
+        np.right_shift(t, s32, out=t)
+        np.multiply(a_hi, m_hi, out=high)
+        np.add(high, t, out=high)
+        np.right_shift(a_lo, s32, out=a_lo)
+        np.add(high, a_lo, out=high)
+        # words (0, 2) <- (high 1 ^ word 1 ^ key 0, high 0 ^ word 3 ^ key 1)
+        # and words (3, 1) <- the low words (0, 2) of the products
+        np.bitwise_xor(high[::-1], b[::-1], out=spare)
+        np.bitwise_xor(spare, key, out=spare)
+        np.multiply(a, mul, out=b)
+        a, spare = spare, a
+    words = np.empty((4, n), u64)
+    words[0::2], words[1::2] = a, b[::-1]
+    return words
+
+
+def _lockstep(cfg: SimConfig, sampler: InverseCdfSampler, first: int,
+              stop: int) -> "np.ndarray":
+    """Paths of replicates ``first`` to ``stop`` as the columns of an int64
+    array, one row per horizon, each column exactly what ``_trajectories``
+    yields on its stream.
+
+    The rows take their events together: event k of every active row reads
+    its holding-time and offspring uniforms from words 2 (k mod 2) and
+    2 (k mod 2) + 1 of Philox block k // 2 of its own stream, computed for
+    all of them at once by ``_philox_block``.  Each uniform and holding time
+    is the scalar loop's, bit for bit: -log1p(-u) through ``math.log1p``
+    (numpy's log1p can differ in the last bit), the offspring by
+    ``searchsorted(cum, u, "right")``, as ``bisect_right`` in the sampler's
+    table, and the horizons passed by ``searchsorted(bounds, t, "left")``.
+    After each event a row writes its new count at the first horizon it
+    has not passed, where that count holds unless a later event writes
+    over it, and the horizons passed in one step take the count written at
+    the first of them, filled forward at the end.  A row leaves the block
+    at the last horizon or at extinction.  Two kinds of row are
+    handed to ``_trajectories``, which reruns them from their streams: a row
+    whose offspring uniform lands past the table, where the sampler's
+    rejection tail takes a varying number of draws, and the last rows once
+    fewer than ``_STRAGGLERS`` remain.
+    """
+    import numpy as np
+
+    n_horizons = len(cfg.horizons)
+    bounds = np.array(_clock(cfg.params, cfg.horizons))
+    cum = np.array(sampler._cum)  # the tabulated head of the sampler's CDF
+    head_mass, step = sampler._cum[-1], sampler._support_start - 1
+    n = stop - first
+    # row j holds the count after the last event between horizons j - 1 and
+    # j, or -1 where none came and the count at horizon j - 1 still holds;
+    # row n_horizons is scratch
+    marks = np.full((n_horizons + 1, n), -1, np.int64)
+    marks[0] = 1
+    rows = np.arange(n)
+    count = np.ones(n, np.int64)
+    t = np.zeros(n)
+    handoff = []
+    k = 0
+    while len(rows) >= _STRAGGLERS:
+        if k % 2 == 0:
+            keys = rows.astype(np.uint64) + np.uint64(first)
+            uniforms = (_philox_block(cfg.seed, keys, k // 2) >> np.uint64(11)) * 2.0**-53
+        hold_u, draw_u = uniforms[2 * (k % 2)], uniforms[2 * (k % 2) + 1]
+        t -= np.fromiter(map(math.log1p, (-hold_u).tolist()), np.float64, len(rows)) / count
+        passed = np.searchsorted(bounds, t, "left")
+        # the new count holds at the next horizon unless another event comes
+        # first; rows past the last horizon write to the scratch row, and
+        # rows taking the tail are overwritten below
+        count += np.searchsorted(cum, draw_u, "right") + step
+        marks[passed, rows] = count
+        live = passed < n_horizons
+        drew = live & (draw_u < head_mass)
+        biggest = int(np.max(count, where=drew, initial=0))
+        if biggest > cfg.max_population:
+            raise PopulationCapExceeded(
+                f"population {biggest} exceeded cap {cfg.max_population}")
+        tail = live ^ drew
+        if tail.any():
+            handoff.extend(rows[tail].tolist())
+        keep = drew & (count > 0)
+        rows, t, count = rows[keep], t[keep], count[keep]
+        if k % 2 == 0:
+            uniforms = uniforms[:, keep]
+        k += 1
+    handoff.extend(rows.tolist())
+    if handoff:
+        marks[:n_horizons, handoff] = np.array(list(_trajectories(
+            cfg.params, cfg.horizons, map(_rekeyer(cfg.seed), (first + i for i in handoff)),
+            sampler, cfg.max_population))).T
+    marks = marks[:n_horizons]
+    begun = np.where(marks >= 0, np.arange(n_horizons)[:, None], 0)
+    np.maximum.accumulate(begun, axis=0, out=begun)
+    return np.take_along_axis(marks, begun, axis=0)
+
+
 def simulate_counts(params: ModelParams, horizons, rng: "np.random.Generator",
                     sampler: InverseCdfSampler = None) -> "np.ndarray":
     """Counts observed at each horizon along one trajectory from X(0) = 1.
 
-    This is the range event loop run on one Generator: it never simulates
-    past the last horizon, and an extinct population fills the remaining
-    horizons with zeros immediately.  Without ``sampler``, a fresh
+    This is the scalar event loop, ``_trajectories``, run on one Generator:
+    the replicate ``estimate_law`` evaluates a block at a time.  It never
+    simulates past the last horizon, and an extinct population fills the
+    remaining horizons with zeros immediately.  Without ``sampler``, a fresh
     ``offspring_sampler(params)`` is built.  The population cap is
     ``SimConfig``'s default.
     """
@@ -220,8 +384,7 @@ def _expected_events(params: ModelParams, horizon: float) -> float:
     c = -rate alpha^2/A the ``malthusian_rate`` and q = ``change_prob``.
     Since rate q/c = -(1 + A), it is (1 + A)(1 - e^(c T)) at T = horizon,
     at most 1 + A.  -c T is taken as ``_product(rate, T, alpha (alpha/A))``,
-    not from ``malthusian_rate``, whose alpha^2 underflows below alpha
-    1.5e-154 and would make c = -0.0: no partial product over- or
+    not as ``malthusian_rate`` times T: no partial product over- or
     underflows, and T = inf gives 1 + A."""
     a = params.alpha
     decay = _product(params.rate, horizon, a * (a / params.log_norm))
@@ -231,29 +394,27 @@ def _expected_events(params: ModelParams, horizon: float) -> float:
 def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
     """Per-horizon histograms of replicates ``start`` to ``stop``.
 
-    Whole paths are counted one block of ``_PATH_BLOCK`` replicates at a time,
-    and each block's distinct paths are split into per-horizon histograms, so
-    memory is bounded by the block and not by the range.  Paths repeat: 1.6%
-    of a block's paths are distinct at alpha 0.5 with horizons (0.5, 1, 2),
-    and 21% with 200 horizons up to t = 32 near the critical alpha.
+    The range runs one block of ``_PATH_BLOCK`` replicates at a time through
+    ``_lockstep``, and each block's counts at a horizon are histogrammed by
+    ``np.unique``, so memory is bounded by the block and not by the range.
     """
-    trajectories = _trajectories(cfg.params, cfg.horizons,
-                                 streams(cfg.seed, start, stop),
-                                 offspring_sampler(cfg.params), cfg.max_population)
+    import numpy as np
+
+    sampler = offspring_sampler(cfg.params)
     tallies = [Counter() for _ in cfg.horizons]
-    while block := Counter(islice(trajectories, _PATH_BLOCK)):
-        for path, times in block.items():
-            for tally, count in zip(tallies, path):
-                tally[count] += times
+    for first in range(start, stop, _PATH_BLOCK):
+        paths = _lockstep(cfg, sampler, first, min(first + _PATH_BLOCK, stop))
+        for tally, counts in zip(tallies, paths):
+            values, times = np.unique(counts, return_counts=True)
+            tally.update(dict(zip(values.tolist(), times.tolist())))
     return tallies
 
 
 def estimate_law(cfg: SimConfig, workers: int = 1) -> list:
     """One EmpiricalLaw per horizon, from ``cfg.replicates`` trajectories.
 
-    Each range of replicates runs through one event loop on one Generator
-    re-keyed by ``streams``, and its whole paths are tallied block by block
-    before they are split into per-horizon histograms.  The result is
+    Each range of replicates runs a block at a time through ``_lockstep``,
+    and each block's counts are tallied per horizon.  The result is
     identical for any worker count: replicate index i always draws exactly
     what ``stream(seed, i)`` draws, and histogram merging is commutative.
     ``workers`` is capped at the CPU count: a process pool forks all of its
@@ -261,14 +422,14 @@ def estimate_law(cfg: SimConfig, workers: int = 1) -> list:
     process table.  Raises DomainError, before any draw, when the work
     expected, replicates x (1 + count-changing events up to the last
     horizon), exceeds ``_EVENT_BUDGET``: a replicate that takes no event
-    still costs its re-key and one holding-time draw.
+    still costs its Philox block and one holding-time draw.
     """
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers!r}")
     work = cfg.replicates * (1.0 + _expected_events(cfg.params, cfg.horizons[-1]))
     if not work <= _EVENT_BUDGET:
         raise DomainError(f"{cfg.replicates} replicates to t={cfg.horizons[-1]!r} expect "
-                          f"{work:.3g} re-keys and events, past the budget of "
+                          f"{work:.3g} replicate starts and events, past the budget of "
                           f"{_EVENT_BUDGET:.0e}")
     workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or cfg.replicates < 4 * workers:

@@ -171,10 +171,11 @@ def _moment_or_none(law, n):
 
 def _cut_times(params):
     """t = 0, a t > 0 where M rounds to 1, the t where M = 1/2 and the last
-    t before ``ModelParams.at`` rejects M; the last two only where M can
-    leave 1."""
+    t before ``ModelParams.at`` rejects M; the last two only where M reaches
+    1/2 at a finite t (at alpha 5e-324, c = -rate alpha is within a few
+    subnormal steps of 0)."""
     times = [0.0, 1e-300]
-    if params.malthusian_rate < 0.0:
+    if params.malthusian_rate < 0.0 and math.log(0.5) / params.malthusian_rate < math.inf:
         times.append(math.log(0.5) / params.malthusian_rate)
         floor = sys.float_info.min / min(1.0, params.log_norm)
         t = math.log(floor) / params.malthusian_rate
@@ -343,6 +344,21 @@ class TestSimulateCommand:
         assert model == pytest.approx(params_half.at(1.0).mean, rel=1e-9)
         assert abs(emp - model) / model < 0.01
 
+    def test_underflowing_square_weight_decays(self, runner):
+        # alpha^2 underflows at alpha 1e-300, but rate alpha^2/A is 1 at rate
+        # 1e300: M(1) = e^-1 and P(X(1) = 0) = 1 - e^-1, about 0.632
+        result = runner.invoke(cli, ["simulate", "--alpha", "1e-300", "--k", "1e300",
+                                     "--times", "1", "--replicates", "20000",
+                                     "--seed", "5", "--format", "json"])
+        assert result.exit_code == 0
+        horizon = json.loads(result.output)["horizons"][0]
+        assert horizon["model_mean"] == pytest.approx(math.exp(-1.0), rel=4 * 2**-52)
+        p0 = horizon["model_extinction"]
+        assert p0 == pytest.approx(-math.expm1(-1.0), rel=1e-12)
+        # two-sided binomial p-value of the empirical extinction, normal approximation
+        z = (horizon["empirical_extinction"] - p0) / math.sqrt(p0 * (1.0 - p0) / 20000)
+        assert math.erfc(abs(z) / math.sqrt(2.0)) > 1e-3
+
     def test_json_shape(self, runner):
         result = runner.invoke(cli, self.ARGS + ["--format", "json"])
         record = json.loads(result.output)
@@ -406,13 +422,13 @@ class TestSimulateCommand:
         assert header[:3] == ["time", "n", "count"]
         triples = [(float(t), int(n), int(c)) for t, n, c, *_ in rows]
         assert triples == [
-            (1.0, 0, 2440), (1.0, 1, 2123), (1.0, 2, 255), (1.0, 3, 92),
-            (1.0, 4, 37), (1.0, 5, 17), (1.0, 6, 13), (1.0, 7, 9), (1.0, 8, 4),
-            (1.0, 9, 3), (1.0, 10, 3), (1.0, 11, 3), (1.0, 12, 1),
-            (4.0, 0, 4455), (4.0, 1, 348), (4.0, 2, 91), (4.0, 3, 46),
-            (4.0, 4, 23), (4.0, 5, 11), (4.0, 6, 10), (4.0, 7, 4), (4.0, 8, 4),
-            (4.0, 9, 5), (4.0, 10, 1), (4.0, 14, 1), (4.0, 15, 1),
-            (16.0, 0, 4995), (16.0, 1, 4), (16.0, 2, 1),
+            (1.0, 0, 2508), (1.0, 1, 2045), (1.0, 2, 255), (1.0, 3, 96),
+            (1.0, 4, 50), (1.0, 5, 14), (1.0, 6, 13), (1.0, 7, 13), (1.0, 8, 1),
+            (1.0, 9, 2), (1.0, 10, 3),
+            (4.0, 0, 4447), (4.0, 1, 345), (4.0, 2, 100), (4.0, 3, 51),
+            (4.0, 4, 24), (4.0, 5, 8), (4.0, 6, 11), (4.0, 7, 6), (4.0, 8, 5),
+            (4.0, 9, 2), (4.0, 14, 1),
+            (16.0, 0, 4996), (16.0, 1, 1), (16.0, 2, 2), (16.0, 3, 1),
         ]
 
 

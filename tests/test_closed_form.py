@@ -74,14 +74,24 @@ class TestGeneratingFunction:
         assert abs(pgf_at(params, params.at(t), inner)
                    - pgf_at(params, params.at(t + u), s)) < 1e-12
 
-    # (1 - alpha)/alpha overflows below 1/DBL_MAX; M is exactly 1 there
-    @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
-    def test_subnormal_weight_is_identity(self, alpha):
+    # (1 - alpha)/alpha overflows below 1/DBL_MAX; M = exp(-rate alpha^2/A t)
+    # is exactly 1 while alpha t stays below 2^-53, and the law is the
+    # identity to within alpha t
+    @pytest.mark.parametrize("alpha, t_far", [(1e-310, 1e290), (5e-324, 1e300)],
+                             ids=["1e-310", "5e-324"])
+    def test_subnormal_weight_is_identity(self, alpha, t_far):
         params = ModelParams(alpha, 1.0)
-        for t in (0.0, 1.0, 1e300):
+        for t in (0.0, 1.0, t_far):
             for s in (-1.0, 0.0, 0.5, 0.9):
                 value = pgf_at(params, params.at(t), s)
                 assert math.isfinite(value) and abs(value - s) <= 1e-15
+
+    def test_subnormal_weight_leaves_identity(self):
+        # at alpha 1e-310 and t = 1e300, M = exp(-1e-10) and the law is no
+        # longer the identity; M A is subnormal, so the time point is refused
+        params = ModelParams(1e-310, 1.0)
+        with pytest.raises(DomainError):
+            params.at(1e300)
 
     @given(alpha=alphas, t=times, s=s_unit)
     @settings(max_examples=150, deadline=None)

@@ -16,12 +16,20 @@ from logbranch import (
     estimate_law,
     offspring_sampler,
     pmf,
+    simulate,
     simulate_counts,
     stream,
     streams,
 )
 from logbranch.model import change_prob
-from logbranch.simulate import _expected_events, _product, _trajectories
+from logbranch.simulate import (
+    _PATH_BLOCK,
+    _expected_events,
+    _lockstep,
+    _philox_block,
+    _product,
+    _trajectories,
+)
 
 
 class _FixedDraw:
@@ -78,13 +86,14 @@ class TestStep:
         assert counts.tolist() == [1, 0, 0]
 
     def test_burst_increments(self, params_half):
-        # _FixedDraw takes no draws, so the holding times are the stream's
-        # exponentials scaled by rate * q * count for counts 1, 5 and 9
+        # _FixedDraw takes no draws, so the holding times are -log1p(-u) of
+        # the stream's uniforms u, scaled by rate * q * count for counts 1, 5
+        # and 9
         rng = stream(1, 0)
         horizons = []
         now = 0.0
         for count in (1, 5, 9):
-            wait = rng.standard_exponential() / (params_half.rate * change_prob(params_half)
+            wait = -math.log1p(-rng.random()) / (params_half.rate * change_prob(params_half)
                                                  * count)
             horizons.append(now + wait / 2)
             now += wait
@@ -151,6 +160,85 @@ class TestRunReplicate:
         rows = [tuple(simulate_counts(params_half, self.HORIZONS, rng))
                 for rng in streams(42, 0, 25)]
         assert len(set(rows)) > 1
+
+
+class TestPhiloxBlock:
+    SEEDS = (0, 1, 2**64 - 1)
+    INDICES = (0, 1, 2**32, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_match_streams(self, seed):
+        index = np.array(self.INDICES, dtype=np.uint64)
+        blocks = np.concatenate([_philox_block(seed, index, k) for k in range(4)])
+        for column, i in enumerate(self.INDICES):
+            raw = stream(seed, i).bit_generator.random_raw(16)
+            assert blocks[:, column].tolist() == raw.tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniforms_are_top_53_bits(self, seed):
+        index = np.array(self.INDICES, dtype=np.uint64)
+        words = np.concatenate([_philox_block(seed, index, k) for k in range(4)])
+        for column, i in enumerate(self.INDICES):
+            rng = stream(seed, i)
+            assert [rng.random() for _ in range(16)] == [
+                (w >> 11) * 2.0**-53 for w in words[:, column].tolist()]
+
+
+class TestBlockPaths:
+    """Every replicate's whole path from the block loop is
+    ``simulate_counts`` on its own stream(seed, i), whatever the range, the
+    block edges and the point where the block hands rows to the scalar loop."""
+
+    @pytest.mark.parametrize("alpha, horizons", [
+        (0.5, (0.5, 1.0, 2.0)), (0.75, (1.0, 4.0, 16.0, 32.0)),
+        (0.05, (0.5, 1.0, 2.0)), (1e-3, (1.0, 100.0, 1000.0))])
+    # a range of 1.22 blocks from 0, and one that starts mid-block as a
+    # worker's range does
+    @pytest.mark.parametrize("start, stop", [(0, 5000), (1234, 1234 + _PATH_BLOCK + 777)])
+    # every row run in lockstep to the end, the default straggler handoff,
+    # and every row handed to the scalar loop
+    @pytest.mark.parametrize("stragglers", [1, simulate._STRAGGLERS, _PATH_BLOCK + 1])
+    def test_paths_match_streams(self, monkeypatch, alpha, horizons, start, stop,
+                                 stragglers):
+        params = ModelParams(alpha, 1.0)
+        cfg = SimConfig(params, horizons, stop, 29)
+        sampler = offspring_sampler(params)
+        expected = [tuple(simulate_counts(params, horizons, rng, sampler).tolist())
+                    for rng in streams(cfg.seed, start, stop)]
+        handed = []
+
+        def recording(params, horizons, rngs, sampler, cap):
+            # rngs re-keys one Generator, so each must be used before the next
+            def counted():
+                for rng in rngs:
+                    handed.append(1)
+                    yield rng
+
+            return _trajectories(params, horizons, counted(), sampler, cap)
+
+        monkeypatch.setattr(simulate, "_STRAGGLERS", stragglers)
+        monkeypatch.setattr(simulate, "_trajectories", recording)
+        paths = []
+        for first in range(start, stop, _PATH_BLOCK):
+            block = _lockstep(cfg, sampler, first, min(first + _PATH_BLOCK, stop))
+            paths.extend(map(tuple, block.T.tolist()))
+        assert paths == expected
+        if stragglers == 1 and alpha >= 0.5:
+            # no straggler is handed over, so these rows took the tail path
+            assert sum(handed) > 0
+        if stragglers > _PATH_BLOCK:
+            assert sum(handed) == stop - start
+
+    def test_first_stream_at_far_index(self):
+        # keys near 2**64: the last replicates a run can have
+        params = ModelParams(0.5, 1.0)
+        horizons = (0.5, 1.0, 2.0)
+        cfg = SimConfig(params, horizons, 2**64, 3)
+        start = 2**64 - 100
+        block = _lockstep(cfg, offspring_sampler(params), start, 2**64)
+        expected = [simulate_counts(params, horizons, stream(3, i)).tolist()
+                    for i in range(start, 2**64)]
+        assert block.T.tolist() == expected
 
 
 class TestEstimateLaw:
@@ -283,7 +371,7 @@ class TestEventBudget:
 
     @pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1e-8, 0.5])
     def test_expected_events_to_extinction(self, alpha):
-        # 1 + A at T = inf, where malthusian_rate is -0.0 below alpha 1.5e-154
+        # 1 + A at T = inf, also where alpha^2 underflows (below alpha 1.5e-154)
         params = ModelParams(alpha, 1.0)
         with mpmath.workdps(50):
             exact = 1 - mpmath.log1p(-mpmath.mpf(alpha))
@@ -302,6 +390,8 @@ class TestEventBudget:
             raise AssertionError("a stream was built")
 
         monkeypatch.setattr("logbranch.simulate.streams", no_draws)
+        monkeypatch.setattr("logbranch.simulate._rekeyer", no_draws)
+        monkeypatch.setattr("logbranch.simulate._philox_block", no_draws)
         cfg = SimConfig(ModelParams(alpha, 1.0), (min(1.0, horizon / 2), horizon),
                         replicates, 3)
         with pytest.raises(DomainError, match="budget"):
