@@ -18,32 +18,41 @@ BIG_SIM_HORIZONS = (0.5, 1.0, 2.0)
 
 
 def chi_square_pvalue(data, pmf, start, nbins):
-    """Goodness-of-fit p-value with bins {start..start+nbins-1, rest}: the
-    chi-square statistic's upper tail at nbins degrees of freedom.
+    """Goodness-of-fit p-value of ``data`` against ``pmf`` on {start, ...}.
+
+    One cell per value from ``start`` upward, at most ``nbins`` of them,
+    while the cell's expected count and that of everything past it are both
+    at least 5, and one cell for the rest; the p-value is the chi-square
+    statistic's upper tail at (cells - 1) degrees of freedom.  With expected
+    counts far below 1 the chi-square law is no approximation to the
+    statistic's, and a sound sampler fails the gate far more often than
+    its nominal level.
 
     ``data`` is either an array of draws or a {value: count} histogram.
     """
     if isinstance(data, dict):
-        items = data.items()
-        total = sum(data.values())
+        histogram = data
     else:
         values, counts = np.unique(data, return_counts=True)
-        items = zip(values.tolist(), counts.tolist())
-        total = len(data)
-    observed = np.zeros(nbins + 1)
-    for value, count in items:
-        index = value - start
-        if index < 0:
-            raise ValueError(f"draw {value} below support start {start}")
-        observed[index if index < nbins else nbins] += count
-    head = np.array([pmf(n) for n in range(start, start + nbins)])
-    # the rest mass is 1 - sum(head), which rounding can leave a few ulps
-    # either side of a true value far below an ulp; an empty cell with no
-    # expected mass adds nothing to the statistic, where 0/0 would add NaN
-    expected = np.append(head, max(0.0, 1.0 - head.sum())) * total
-    cells = (observed > 0) | (expected > 0)
-    statistic = float(((observed[cells] - expected[cells]) ** 2 / expected[cells]).sum())
-    return float(mpmath.gammainc(nbins / 2, statistic / 2, regularized=True))
+        histogram = dict(zip(values.tolist(), counts.tolist()))
+    if min(histogram, default=start) < start:
+        raise ValueError(f"draw {min(histogram)} below support start {start}")
+    total = sum(histogram.values())
+    expected, observed = [], []
+    rest = 1.0
+    while len(expected) < nbins:
+        p = pmf(start + len(expected))
+        if total * p < 5.0 or total * (rest - p) < 5.0:
+            break
+        expected.append(total * p)
+        observed.append(histogram.get(start + len(observed), 0))
+        rest -= p
+    if not expected:
+        raise ValueError("no cell expects 5 draws with 5 more past it")
+    expected.append(total * rest)
+    observed.append(total - sum(observed))
+    statistic = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    return float(mpmath.gammainc((len(expected) - 1) / 2, statistic / 2, regularized=True))
 
 
 @pytest.fixture(scope="session")

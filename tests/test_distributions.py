@@ -292,3 +292,16 @@ class TestSamplers:
     def test_requires_tail_strategy(self):
         with pytest.raises(TypeError):
             InverseCdfSampler(lambda n: 0.5**n, 1)
+
+
+def test_gof_gate_null_size(gof_pvalue):
+    # 2000 exact multinomial histograms of 10**6 LogSeries(0.5) draws: the
+    # gate at 1e-3 should fail about 2 of them.  With one cell per value to
+    # n = 30, most cells expected far below one draw, and about 60 failed
+    law = LogSeries(0.5)
+    # the last cell, n = 60, takes the rest of the mass, about 1e-20
+    samples = np.random.default_rng(8128).multinomial(
+        10**6, [law.pmf(n) for n in range(1, 61)], size=2000)
+    false_alarms = sum(gof_pvalue(dict(enumerate(row.tolist(), start=1)), law.pmf, 1, 30) < 1e-3
+                       for row in samples)
+    assert false_alarms <= 8
