@@ -58,7 +58,6 @@ from .simulate import (
     estimate_law,
     simulate_counts,
     stream,
-    streams,
 )
 
 # every name imported above except the modules

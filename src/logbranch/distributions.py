@@ -17,11 +17,12 @@ constants of its terms (the logs of its parameters, lgamma(1 - gamma), the
 log-odds, the log normaliser) once, when it is built, so a term costs one
 or two ``lgamma`` calls and an ``exp``.
 
-Sampling is exact: a prefix of the CDF is tabulated from the pmf and inverted
-by bisection; draws falling past the table run rejection under a certified
-geometric envelope p(n+1) <= r p(n), the one tail path every sampled law
-here (both families and the offspring law of a count-changing death)
-admits.
+Sampling takes one uniform a draw: the CDF is tabulated from the pmf until
+the certified geometric tail p(n+1) <= r p(n), which every sampled law here
+admits (both families and the offspring law of a count-changing death),
+leaves less than 2^-53 past the table, one step of ``rng.random()``, and the
+uniform is inverted by bisection, so a draw is exact to the resolution of
+its uniform.
 
 Nothing here imports numpy when the module loads: the laws are stdlib
 ``math``, and the closed form and the ``pmf`` and ``limit`` commands import
@@ -184,7 +185,7 @@ class LogSeries:
 
 
 def offspring_sampler(params: ModelParams) -> "InverseCdfSampler":
-    """Exact sampler for the offspring law of a death that changes the count,
+    """Sampler for the offspring law of a death that changes the count,
     ``changed_offspring_pmf``: the reproduction law given eta != 1, which the
     simulator draws at its count-changing events only.  The table holds a
     zero-width entry at n = 1, which no uniform lands in; the tail ratio
@@ -193,57 +194,48 @@ def offspring_sampler(params: ModelParams) -> "InverseCdfSampler":
                              ratio_bound=params.alpha)
 
 
-_WARM_MASS = 0.99  # cumulative probability a sampler's table is warmed to
+_TAIL_BOUND = 2.0**-53  # most mass a sampler's table leaves out: one step of rng.random()
 _MAX_TABLE = 4096  # most entries a sampler's table holds
 
 
 class InverseCdfSampler:
-    """Exact sampler: tabulated CDF prefix plus a certified geometric tail.
+    """Inverse-CDF sampler drawing one uniform per value, exact to the 2^-53
+    resolution of ``rng.random()``.
 
-    The table is warmed to ``_WARM_MASS`` cumulative probability, with at
-    least 3 and at most ``_MAX_TABLE`` entries, so that the geometric ratio
-    certificate pmf(n+1) <= ratio_bound * pmf(n) holds from the table edge
-    on for every law sampled here.  Uniform draws landing past the table are
-    resolved exactly by rejection under the envelope
-    pmf(edge+1) * ratio_bound^(k - edge - 1).
+    The CDF is tabulated from ``support_start`` until a term p(n) certifies
+    the mass past it, p(n) r / (1 - r) with r = ``ratio_bound``, below 2^-53,
+    by the geometric ratio p(n+1) <= r p(n), which must hold from the third
+    entry on (the table keeps at least 3).  The last entry's cumulative mass
+    is inf, so the last value takes every uniform past the one before.  A
+    draw is ``support_start + bisect_right(cum, u)`` for one u =
+    ``rng.random()``, a multiple of 2^-53, so each cell's mass is already
+    rounded to that step, and to a few ulps by the float cumulative sum; the
+    tail left out is smaller than one step.  A ratio bound whose certificate
+    takes more than ``_MAX_TABLE`` entries (r above about 0.99) raises
+    DomainError; every law sampled here has r <= ``ALPHA_CRITICAL``.
     """
 
     def __init__(self, pmf, support_start: int, ratio_bound: float):
         if not 0.0 < ratio_bound < 1.0:
             raise DomainError(f"ratio bound must lie in (0, 1), got {ratio_bound!r}")
-        self._pmf = pmf
-        self._support_start = support_start
-        self._ratio_bound = ratio_bound
+        odds = ratio_bound / (1.0 - ratio_bound)
         cum = []
         total = 0.0
-        while (total < _WARM_MASS or len(cum) < 3) and len(cum) < _MAX_TABLE:
-            total += pmf(support_start + len(cum))
+        while len(cum) < 3 or p * odds >= _TAIL_BOUND:
+            if len(cum) == _MAX_TABLE:
+                raise DomainError(f"ratio bound {ratio_bound!r} does not certify the tail "
+                                  f"within {_MAX_TABLE} table entries")
+            p = pmf(support_start + len(cum))
+            total += p
             cum.append(total)
+        cum[-1] = math.inf
         self._cum = cum
-        self._support_end = support_start + len(cum) - 1
+        self._support_start = support_start
 
     def draw(self, rng: "np.random.Generator") -> int:
-        u = rng.random()
-        if u < self._cum[-1]:
-            return self._support_start + bisect.bisect_right(self._cum, u)
-        return self._reject_geometric(rng)
+        return self._support_start + bisect.bisect_right(self._cum, rng.random())
 
     def draw_many(self, rng: "np.random.Generator", size: int) -> "np.ndarray":
         import numpy as np
 
-        u = rng.random(size)
-        idx = np.searchsorted(self._cum, u, side="right")
-        out = self._support_start + idx
-        for pos in np.flatnonzero(idx == len(self._cum)):
-            out[pos] = self._reject_geometric(rng)
-        return out
-
-    def _reject_geometric(self, rng: "np.random.Generator") -> int:
-        edge = self._support_end
-        r = self._ratio_bound
-        p_next = self._pmf(edge + 1)
-        while True:
-            k = edge + int(rng.geometric(1.0 - r))
-            envelope = p_next * r ** (k - edge - 1)
-            if rng.random() * envelope <= self._pmf(k):
-                return k
+        return self._support_start + np.searchsorted(self._cum, rng.random(size), side="right")

@@ -19,10 +19,10 @@ that loop a block of replicates at a time (``_lockstep``): the block's rows
 advance event by event together as numpy arrays, each row reading its own
 stream's Philox words, computed for the whole block at once by
 ``_philox_block``, so replicate i still draws exactly what ``stream(seed,
-i)`` draws and its path is the scalar loop's, bit for bit.  The rows the
-block cannot finish that way, those whose offspring draw takes the
-sampler's rejection tail and the last few stragglers, are handed to the
-scalar loop, which reruns them from their streams.
+i)`` draws and its path is the scalar loop's, bit for bit.  An event reads
+two words in both loops, a holding-time and an offspring uniform, so only
+the block's last few stragglers are handed to the scalar loop, which reruns
+them from their streams.
 
 Importing this module loads neither numpy nor the process pool: the functions
 that build Generators or arrays import numpy, and ``estimate_law`` imports the
@@ -53,12 +53,12 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Philox4x64 key increment
 
 def _rekeyer(seed: int):
     """A function of i that re-keys one reused Philox in place to (seed, i),
-    with a fresh counter and an empty buffer, and returns its Generator: it
-    then draws exactly what ``stream(seed, i)`` would, without building a
-    new one.  The returned Generator is valid only until the next call.  The
-    reused state holds plain ints rather than the uint64 arrays
-    ``bitgen.state`` returns, since the setter reads them element by element
-    and an array would make a numpy scalar of each on every re-key.
+    with a fresh counter and an empty buffer, and returns its Generator:
+    ``stream(seed, i)``, without building a new Philox for each i.  The
+    returned Generator is valid only until the next call.  The reused state
+    holds plain ints rather than the uint64 arrays ``bitgen.state`` returns,
+    since the setter reads them element by element and an array would make a
+    numpy scalar of each on every re-key.
     """
     import numpy as np
 
@@ -77,31 +77,21 @@ def _rekeyer(seed: int):
     return rekeyed
 
 
-def streams(seed: int, start: int, stop: int) -> "Iterator[np.random.Generator]":
-    """``stream(seed, i)`` for each i in ``range(start, stop)``, as one Generator
-    re-keyed in place, so each is valid only until the next one is yielded.
-
-    Stream i is the Philox4x64-10 stream keyed (seed, i), and
-    ``rng.random()`` is (w >> 11) * 2**-53 of its next 64-bit word w, so its
-    k-th call reads word k - 1 of ``rng.bit_generator.random_raw``; the
-    block loop computes those words directly (``_philox_block``).
-    """
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must fit in 64 bits, got {seed!r}")
-    if not 0 <= start <= stop <= 2**64:
-        raise DomainError(
-            f"stream indices must satisfy 0 <= start <= stop <= 2**64, got {start!r}, {stop!r}"
-        )
-    return map(_rekeyer(seed), range(start, stop))
-
-
 def stream(seed: int, index: int = 0) -> "np.random.Generator":
     """Independent counter-based RNG stream keyed by (seed, replicate index).
 
     Philox streams with distinct keys never overlap, so replicate i of run
-    ``seed`` is reproducible in isolation regardless of scheduling.
+    ``seed`` is reproducible in isolation regardless of scheduling.  Stream i
+    is the Philox4x64-10 stream keyed (seed, i), and ``rng.random()`` is
+    (w >> 11) * 2**-53 of its next 64-bit word w, so its k-th call reads word
+    k - 1 of ``rng.bit_generator.random_raw``; the block loop computes those
+    words directly (``_philox_block``).
     """
-    return next(streams(seed, index, index + 1))
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must fit in 64 bits, got {seed!r}")
+    if not 0 <= index < 2**64:
+        raise DomainError(f"stream index must fit in 64 bits, got {index!r}")
+    return _rekeyer(seed)(index)
 
 
 @dataclass(frozen=True)
@@ -284,18 +274,17 @@ def _lockstep(cfg: SimConfig, sampler: InverseCdfSampler, first: int,
     has not passed, where that count holds unless a later event writes
     over it, and the horizons passed in one step take the count written at
     the first of them, filled forward at the end.  A row leaves the block
-    at the last horizon or at extinction.  Two kinds of row are
-    handed to ``_trajectories``, which reruns them from their streams: a row
-    whose offspring uniform lands past the table, where the sampler's
-    rejection tail takes a varying number of draws, and the last rows once
-    fewer than ``_STRAGGLERS`` remain.
+    at the last horizon or at extinction.  Every offspring uniform lands in
+    the sampler's table, which ends in an inf cumulative mass, so only the
+    last rows, once fewer than ``_STRAGGLERS`` remain, are handed to
+    ``_trajectories``, which reruns them from their streams.
     """
     import numpy as np
 
     n_horizons = len(cfg.horizons)
     bounds = np.array(_clock(cfg.params, cfg.horizons))
-    cum = np.array(sampler._cum)  # the tabulated head of the sampler's CDF
-    head_mass, step = sampler._cum[-1], sampler._support_start - 1
+    cum = np.array(sampler._cum)  # the sampler's CDF table, ending in inf
+    step = sampler._support_start - 1
     n = stop - first
     # row j holds the count after the last event between horizons j - 1 and
     # j, or -1 where none came and the count at horizon j - 1 still holds;
@@ -305,7 +294,6 @@ def _lockstep(cfg: SimConfig, sampler: InverseCdfSampler, first: int,
     rows = np.arange(n)
     count = np.ones(n, np.int64)
     t = np.zeros(n)
-    handoff = []
     k = 0
     while len(rows) >= _STRAGGLERS:
         if k % 2 == 0:
@@ -315,28 +303,22 @@ def _lockstep(cfg: SimConfig, sampler: InverseCdfSampler, first: int,
         t -= np.fromiter(map(math.log1p, (-hold_u).tolist()), np.float64, len(rows)) / count
         passed = np.searchsorted(bounds, t, "left")
         # the new count holds at the next horizon unless another event comes
-        # first; rows past the last horizon write to the scratch row, and
-        # rows taking the tail are overwritten below
+        # first; rows past the last horizon write to the scratch row
         count += np.searchsorted(cum, draw_u, "right") + step
         marks[passed, rows] = count
         live = passed < n_horizons
-        drew = live & (draw_u < head_mass)
-        biggest = int(np.max(count, where=drew, initial=0))
+        biggest = int(np.max(count, where=live, initial=0))
         if biggest > cfg.max_population:
             raise PopulationCapExceeded(
                 f"population {biggest} exceeded cap {cfg.max_population}")
-        tail = live ^ drew
-        if tail.any():
-            handoff.extend(rows[tail].tolist())
-        keep = drew & (count > 0)
+        keep = live & (count > 0)
         rows, t, count = rows[keep], t[keep], count[keep]
         if k % 2 == 0:
             uniforms = uniforms[:, keep]
         k += 1
-    handoff.extend(rows.tolist())
-    if handoff:
-        marks[:n_horizons, handoff] = np.array(list(_trajectories(
-            cfg.params, cfg.horizons, map(_rekeyer(cfg.seed), (first + i for i in handoff)),
+    if len(rows):
+        marks[:n_horizons, rows] = np.array(list(_trajectories(
+            cfg.params, cfg.horizons, map(_rekeyer(cfg.seed), (first + i for i in rows.tolist())),
             sampler, cfg.max_population))).T
     marks = marks[:n_horizons]
     begun = np.where(marks >= 0, np.arange(n_horizons)[:, None], 0)

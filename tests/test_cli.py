@@ -422,13 +422,13 @@ class TestSimulateCommand:
         assert header[:3] == ["time", "n", "count"]
         triples = [(float(t), int(n), int(c)) for t, n, c, *_ in rows]
         assert triples == [
-            (1.0, 0, 2508), (1.0, 1, 2045), (1.0, 2, 255), (1.0, 3, 96),
-            (1.0, 4, 50), (1.0, 5, 14), (1.0, 6, 13), (1.0, 7, 13), (1.0, 8, 1),
-            (1.0, 9, 2), (1.0, 10, 3),
-            (4.0, 0, 4447), (4.0, 1, 345), (4.0, 2, 100), (4.0, 3, 51),
-            (4.0, 4, 24), (4.0, 5, 8), (4.0, 6, 11), (4.0, 7, 6), (4.0, 8, 5),
-            (4.0, 9, 2), (4.0, 14, 1),
-            (16.0, 0, 4996), (16.0, 1, 1), (16.0, 2, 2), (16.0, 3, 1),
+            (1.0, 0, 2508), (1.0, 1, 2044), (1.0, 2, 256), (1.0, 3, 97),
+            (1.0, 4, 47), (1.0, 5, 16), (1.0, 6, 17), (1.0, 7, 7), (1.0, 8, 3),
+            (1.0, 9, 4), (1.0, 10, 1),
+            (4.0, 0, 4451), (4.0, 1, 338), (4.0, 2, 101), (4.0, 3, 53),
+            (4.0, 4, 27), (4.0, 5, 6), (4.0, 6, 11), (4.0, 7, 3), (4.0, 8, 4),
+            (4.0, 9, 2), (4.0, 11, 2), (4.0, 13, 1), (4.0, 14, 1),
+            (16.0, 0, 4997), (16.0, 1, 1), (16.0, 2, 2),
         ]
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -15,9 +16,9 @@ from logbranch import (
     ModelParams,
     offspring_sampler,
     stream,
-    streams,
 )
-from logbranch.model import changed_offspring_pmf
+from logbranch.model import ALPHA_CRITICAL, changed_offspring_pmf
+from logbranch.simulate import _rekeyer
 
 gammas = st.floats(min_value=0.05, max_value=0.95)
 bs = st.floats(min_value=0.05, max_value=0.95)
@@ -48,18 +49,21 @@ class TestStream:
 
 
 def _mixed_draws(rng):
-    # geometric is the sampler's tail draw: numpy searches for p >= 1/3 (a
-    # variable number of doubles) and inverts below; random(5) leaves part of
-    # the Philox buffer unread before the next re-key
+    # geometric reads a varying number of doubles (numpy searches for
+    # p >= 1/3 and inverts below); random(5) leaves part of the Philox
+    # buffer unread before the next re-key
     return (rng.standard_exponential(), rng.random(), rng.geometric(0.5),
             rng.geometric(1e-3), rng.random(5).tolist(), rng.integers(0, 2**32))
 
 
 class TestStreams:
+    """stream(seed, i) against the re-keyed Generator of ``_rekeyer(seed)``
+    and against a Philox built apart from both."""
+
     @pytest.mark.parametrize("start,stop", [(0, 40), (2**64 - 5, 2**64)],
                              ids=["from-zero", "to-2**64"])
     def test_matches_stream(self, start, stop):
-        rekeyed = [_mixed_draws(rng) for rng in streams(77, start, stop)]
+        rekeyed = [_mixed_draws(rng) for rng in map(_rekeyer(77), range(start, stop))]
         fresh = [_mixed_draws(stream(77, i)) for i in range(start, stop)]
         assert rekeyed == fresh
 
@@ -67,13 +71,13 @@ class TestStreams:
     @pytest.mark.parametrize("start,stop", [(0, 2), (2**63 - 1, 2**63 + 1), (2**64 - 2, 2**64)],
                              ids=["0-1", "2**63", "2**64-1"])
     def test_matches_independent_philox(self, seed, start, stop):
-        # stream is next(streams(...)), so only a Generator built without the
-        # re-key can catch a fault the two share
+        # stream is a re-keyed Generator too, so only a Generator built
+        # without the re-key can catch a fault the two share
         def independent(i):
             return np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
 
         expected = [_mixed_draws(independent(i)) for i in range(start, stop)]
-        assert [_mixed_draws(rng) for rng in streams(seed, start, stop)] == expected
+        assert [_mixed_draws(rng) for rng in map(_rekeyer(seed), range(start, stop))] == expected
         assert [_mixed_draws(stream(seed, i)) for i in range(start, stop)] == expected
 
     def test_partly_consumed_buffer_is_reset(self):
@@ -82,21 +86,9 @@ class TestStreams:
             return (rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
                     rng.random(3).tolist())
 
-        it = streams(5, 3, 5)
-        next(it).integers(0, 2**32, dtype=np.uint32)
-        assert draws(next(it)) == draws(stream(5, 4))
-
-    def test_empty_range(self):
-        assert list(streams(1, 7, 7)) == []
-        assert list(streams(1, 2**64, 2**64)) == []
-
-    @pytest.mark.parametrize("seed,start,stop", [
-        (-1, 0, 1), (2**64, 0, 1), (0, -1, 1), (0, 0, 2**64 + 1), (0, 5, 4),
-    ], ids=["seed-negative", "seed-too-big", "start-negative", "stop-too-big",
-            "start-after-stop"])
-    def test_rejects_out_of_range(self, seed, start, stop):
-        with pytest.raises(DomainError):
-            streams(seed, start, stop)
+        rekeyed = _rekeyer(5)
+        rekeyed(3).integers(0, 2**32, dtype=np.uint32)
+        assert draws(rekeyed(4)) == draws(stream(5, 4))
 
 
 class TestExtendedSibuya:
@@ -264,24 +256,6 @@ class TestSamplers:
                           lambda n: changed_offspring_pmf(params_half, n + (n > 0)),
                           0, 30) > 1e-3
 
-    @pytest.fixture()
-    def short_table(self, monkeypatch):
-        # a 4-entry table warmed to half the mass sends many draws down the tail
-        monkeypatch.setattr("logbranch.distributions._MAX_TABLE", 4)
-        monkeypatch.setattr("logbranch.distributions._WARM_MASS", 0.5)
-
-    def test_rejection_tail_path(self, gof_pvalue, short_table):
-        law = LogSeries(0.5)
-        sampler = InverseCdfSampler(law.pmf, 1, ratio_bound=law.alpha)
-        draws = sampler.draw_many(stream(11, 6), 200_000)
-        assert gof_pvalue(draws, law.pmf, 1, 30) > 1e-3
-
-    def test_rejection_tail_path_extended(self, gof_pvalue, short_table):
-        law = ExtendedSibuya(0.7, 0.5)
-        sampler = InverseCdfSampler(law.pmf, 1, ratio_bound=law.b)
-        draws = sampler.draw_many(stream(11, 7), 200_000)
-        assert gof_pvalue(draws, law.pmf, 1, 30) > 1e-3
-
     def test_scalar_matches_support(self, params_half):
         sampler = offspring_sampler(params_half)
         rng = stream(77, 0)
@@ -292,6 +266,49 @@ class TestSamplers:
     def test_requires_tail_strategy(self):
         with pytest.raises(TypeError):
             InverseCdfSampler(lambda n: 0.5**n, 1)
+
+    @pytest.mark.parametrize("pmf, start, ratio", [
+        *[(partial(changed_offspring_pmf, ModelParams(alpha, 1.0)), 0, alpha)
+          for alpha in (1e-300, 0.05, 0.5, 0.75, math.nextafter(ALPHA_CRITICAL, 0.0))],
+        (LogSeries(0.5).pmf, 1, 0.5),
+        (ExtendedSibuya(0.7, 0.5).pmf, 1, 0.5),
+        (ExtendedSibuya(0.5, 0.9).pmf, 1, 0.9),
+    ], ids=["offspring-1e-300", "offspring-0.05", "offspring-0.5", "offspring-0.75",
+            "offspring-critical", "log-series", "sibuya-0.7-0.5", "sibuya-0.5-0.9"])
+    def test_table_certifies_tail(self, pmf, start, ratio):
+        # the last entry's term bounds the mass past it below one 2**-53 step
+        # of rng.random(), and the entry before does not, or the table is at
+        # its 3-entry floor; the last cumulative mass is inf
+        sampler = InverseCdfSampler(pmf, start, ratio_bound=ratio)
+        size = len(sampler._cum)
+        odds = ratio / (1.0 - ratio)
+        assert size >= 3 and sampler._cum[-1] == math.inf
+        assert pmf(start + size - 1) * odds < 2.0**-53
+        assert size == 3 or pmf(start + size - 2) * odds >= 2.0**-53
+
+    @pytest.mark.parametrize("pmf, start, ratio", [
+        (partial(changed_offspring_pmf, ModelParams(0.5, 1.0)), 0, 0.5),
+        (LogSeries(0.5).pmf, 1, 0.5),
+        (ExtendedSibuya(0.5, 0.9).pmf, 1, 0.9),
+    ], ids=["offspring", "log-series", "sibuya"])
+    def test_largest_uniform_draws_last_value(self, pmf, start, ratio):
+        # the largest uniform rng.random() returns lands in the last entry,
+        # with no draw past the table
+        class LastUniform:
+            def random(self, size=None):
+                top = 1.0 - 2.0**-53
+                return top if size is None else np.full(size, top)
+
+        sampler = InverseCdfSampler(pmf, start, ratio_bound=ratio)
+        last = start + len(sampler._cum) - 1
+        assert sampler.draw(LastUniform()) == last
+        assert sampler.draw_many(LastUniform(), 4).tolist() == [last] * 4
+
+    def test_rejects_uncertifiable_ratio(self):
+        # at ratio 0.999 the certificate needs about 3e4 entries; the
+        # sampler is never built, so nothing can draw from it
+        with pytest.raises(DomainError, match="4096"):
+            InverseCdfSampler(LogSeries(0.999).pmf, 1, ratio_bound=0.999)
 
 
 def test_gof_gate_null_size(gof_pvalue):

@@ -19,7 +19,6 @@ from logbranch import (
     simulate,
     simulate_counts,
     stream,
-    streams,
 )
 from logbranch.model import change_prob
 from logbranch.simulate import (
@@ -28,6 +27,7 @@ from logbranch.simulate import (
     _lockstep,
     _philox_block,
     _product,
+    _rekeyer,
     _trajectories,
 )
 
@@ -131,7 +131,7 @@ class TestSimulateCounts:
 
     def test_zero_stays_absorbed(self, params_half):
         horizons = (0.5, 1.0, 2.0, 4.0)
-        for rng in streams(17, 0, 400):
+        for rng in map(_rekeyer(17), range(400)):
             counts = simulate_counts(params_half, horizons, rng)
             seen_zero = False
             for c in counts:
@@ -158,7 +158,7 @@ class TestRunReplicate:
 
     def test_replicates_differ(self, params_half):
         rows = [tuple(simulate_counts(params_half, self.HORIZONS, rng))
-                for rng in streams(42, 0, 25)]
+                for rng in map(_rekeyer(42), range(25))]
         assert len(set(rows)) > 1
 
 
@@ -187,7 +187,8 @@ class TestPhiloxBlock:
 class TestBlockPaths:
     """Every replicate's whole path from the block loop is
     ``simulate_counts`` on its own stream(seed, i), whatever the range, the
-    block edges and the point where the block hands rows to the scalar loop."""
+    block edges and the point where the block hands its stragglers to the
+    scalar loop."""
 
     @pytest.mark.parametrize("alpha, horizons", [
         (0.5, (0.5, 1.0, 2.0)), (0.75, (1.0, 4.0, 16.0, 32.0)),
@@ -204,7 +205,7 @@ class TestBlockPaths:
         cfg = SimConfig(params, horizons, stop, 29)
         sampler = offspring_sampler(params)
         expected = [tuple(simulate_counts(params, horizons, rng, sampler).tolist())
-                    for rng in streams(cfg.seed, start, stop)]
+                    for rng in map(_rekeyer(cfg.seed), range(start, stop))]
         handed = []
 
         def recording(params, horizons, rngs, sampler, cap):
@@ -223,9 +224,10 @@ class TestBlockPaths:
             block = _lockstep(cfg, sampler, first, min(first + _PATH_BLOCK, stop))
             paths.extend(map(tuple, block.T.tolist()))
         assert paths == expected
-        if stragglers == 1 and alpha >= 0.5:
-            # no straggler is handed over, so these rows took the tail path
-            assert sum(handed) > 0
+        if stragglers == 1:
+            # every offspring uniform lands in the sampler's table, so with
+            # no stragglers every row runs in lockstep to its end
+            assert sum(handed) == 0
         if stragglers > _PATH_BLOCK:
             assert sum(handed) == stop - start
 
@@ -333,7 +335,8 @@ class TestEstimateLaw:
         direct = estimate_law(SimConfig(params_half, (0.8,), n_rep, 777))[0]
         sampler = offspring_sampler(params_half)
         composed = Counter()
-        for rng_mid, rng in zip(streams(778, 0, n_rep), streams(779, 0, n_rep)):
+        for rng_mid, rng in zip(map(_rekeyer(778), range(n_rep)),
+                                map(_rekeyer(779), range(n_rep))):
             mid = simulate_counts(params_half, (0.4,), rng_mid, sampler)[0]
             total = 0
             for _ in range(int(mid)):
@@ -389,7 +392,6 @@ class TestEventBudget:
         def no_draws(*args):
             raise AssertionError("a stream was built")
 
-        monkeypatch.setattr("logbranch.simulate.streams", no_draws)
         monkeypatch.setattr("logbranch.simulate._rekeyer", no_draws)
         monkeypatch.setattr("logbranch.simulate._philox_block", no_draws)
         cfg = SimConfig(ModelParams(alpha, 1.0), (min(1.0, horizon / 2), horizon),
