@@ -13,16 +13,16 @@ involved, and every replicate owns a dedicated counter-based RNG stream
 keyed by (seed, replicate index), which makes runs reproducible replicate by
 replicate and independent of scheduling.
 
-A replicate has one definition, the scalar event loop ``_trajectories``:
-``simulate_counts`` runs it on one Generator.  ``estimate_law`` evaluates
-that loop a block of replicates at a time (``_lockstep``): the block's rows
-advance event by event together as numpy arrays, each row reading its own
-stream's Philox words, computed for the whole block at once by
-``_philox_block``, so replicate i still draws exactly what ``stream(seed,
-i)`` draws and its path is the scalar loop's, bit for bit.  An event reads
-two words in both loops, a holding-time and an offspring uniform, so only
-the block's last few stragglers are handed to the scalar loop, which reruns
-them from their streams.
+A replicate has one definition, the event loop of ``simulate_counts`` on
+one Generator.  ``estimate_law`` evaluates it a block of replicates at a
+time (``_lockstep``): the block's rows advance event by event together as
+numpy arrays, each row reading its own stream's Philox words, computed for
+the whole block at once by ``_philox_block``, so replicate i still draws
+exactly what ``stream(seed, i)`` draws and its path is ``simulate_counts``'
+bit for bit.  Every row runs to its end in the block loop.  Philox is
+counter-based, so any block of any stream can be computed directly: once
+few rows remain, one call computes several blocks of each row's words
+ahead, and the rows read their next events from them.
 
 Importing this module loads neither numpy nor the process pool: the functions
 that build Generators or arrays import numpy, and ``estimate_law`` imports the
@@ -32,7 +32,6 @@ pool only when it runs more than one worker.
 import math
 import os
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -46,35 +45,10 @@ if TYPE_CHECKING:
 _PATH_BLOCK = 4096  # replicates the block loop advances together
 _MAX_POPULATION = 10_000_000  # default population cap of SimConfig and the CLI
 _EVENT_BUDGET = 1e10  # most expected units of work one estimate_law run may take
-_STRAGGLERS = 16  # a block hands its rows to the scalar loop once fewer remain
+_LOOKAHEAD_ROWS = 512  # the block loop computes Philox blocks ahead once fewer rows remain
+_LOOKAHEAD_BLOCKS = 64  # most Philox blocks the block loop computes a row ahead
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Philox4x64 key increments
-
-
-def _rekeyer(seed: int):
-    """A function of i that re-keys one reused Philox in place to (seed, i),
-    with a fresh counter and an empty buffer, and returns its Generator:
-    ``stream(seed, i)``, without building a new Philox for each i.  The
-    returned Generator is valid only until the next call.  The reused state
-    holds plain ints rather than the uint64 arrays ``bitgen.state`` returns,
-    since the setter reads them element by element and an array would make a
-    numpy scalar of each on every re-key.
-    """
-    import numpy as np
-
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    fresh = bitgen.state
-    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
-    fresh["buffer"] = fresh["buffer"].tolist()
-    key = fresh["state"]["key"]
-    rng = np.random.Generator(bitgen)
-
-    def rekeyed(index: int) -> "np.random.Generator":
-        key[1] = index
-        bitgen.state = fresh
-        return rng
-
-    return rekeyed
 
 
 def stream(seed: int, index: int = 0) -> "np.random.Generator":
@@ -85,13 +59,32 @@ def stream(seed: int, index: int = 0) -> "np.random.Generator":
     is the Philox4x64-10 stream keyed (seed, i), and ``rng.random()`` is
     (w >> 11) * 2**-53 of its next 64-bit word w, so its k-th call reads word
     k - 1 of ``rng.bit_generator.random_raw``; the block loop computes those
-    words directly (``_philox_block``).
+    words directly (``_philox_block``).  The key is a uint64 array: numpy
+    would make a list holding an int past 2**63 beside a smaller one a
+    float64 array.
     """
+    import numpy as np
+
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must fit in 64 bits, got {seed!r}")
     if not 0 <= index < 2**64:
         raise DomainError(f"stream index must fit in 64 bits, got {index!r}")
-    return _rekeyer(seed)(index)
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _check_horizons(horizons) -> None:
+    """DomainError unless ``horizons`` is a non-empty, strictly increasing
+    sequence of positive times; NaN fails every comparison, so it fails
+    too."""
+    if len(horizons) == 0:
+        raise DomainError("at least one horizon time is required")
+    prev = 0.0
+    for t in horizons:
+        if not t > prev:
+            raise DomainError(
+                f"horizons must be strictly increasing and positive, got {horizons!r}"
+            )
+        prev = t
 
 
 @dataclass(frozen=True)
@@ -105,15 +98,7 @@ class SimConfig:
     max_population: int = _MAX_POPULATION
 
     def __post_init__(self) -> None:
-        if len(self.horizons) == 0:
-            raise DomainError("at least one horizon time is required")
-        prev = 0.0
-        for t in self.horizons:
-            if not t > prev:
-                raise DomainError(
-                    f"horizons must be strictly increasing and positive, got {self.horizons!r}"
-                )
-            prev = t
+        _check_horizons(self.horizons)
         if not 1 <= self.replicates <= 2**64:
             raise DomainError(
                 f"replicates must lie in [1, 2**64], one stream each, got {self.replicates!r}"
@@ -152,83 +137,44 @@ def _clock(params: ModelParams, horizons) -> tuple:
     return tuple(_product(params.rate, q, h) for h in horizons)
 
 
-def _trajectories(params: ModelParams, horizons, rngs, sampler: InverseCdfSampler,
-                  max_population: int) -> Iterator[tuple]:
-    """Counts observed at each horizon along one trajectory from X(0) = 1,
-    as one tuple per Generator in ``rngs``: the one definition of a
-    replicate, which ``_lockstep`` evaluates a block at a time.
-
-    Only count-changing events are simulated: they come at rate
-    rate q count, q = ``change_prob(params)``, and each replaces the dying
-    particle by a draw from ``sampler``, the offspring law given eta != 1.
-    q comes from ``params`` and never from the sampler, which may be any
-    object with a ``draw``.  Time runs in units of 1/(rate q) (``_clock``),
-    so a holding time is one exponential over the count.
-
-    Each trajectory draws from its own Generator only: per event, a uniform
-    u whose -log1p(-u) is the exponential holding time, then an offspring
-    draw unless the event falls past the last horizon.  An extinct
-    population fills the remaining horizons with zeros without drawing again.
-    """
-    # the sentinel ends every horizon scan
-    bounds = (*_clock(params, horizons), math.inf)
-    n_horizons = len(horizons)
-    zeros = (0,) * n_horizons
-    draw = sampler.draw
-    log1p = math.log1p
-    for rng in rngs:
-        uniform = rng.random
-        path = ()
-        count = 1
-        t = 0.0
-        i = 0
-        while count:
-            t -= log1p(-uniform()) / count
-            while bounds[i] < t:
-                path += (count,)
-                i += 1
-            if i == n_horizons:
-                break
-            count += draw(rng) - 1
-            if count > max_population:
-                raise PopulationCapExceeded(
-                    f"population {count} exceeded cap {max_population}"
-                )
-        yield path + zeros[i:]
-
-
-def _philox_block(seed: int, index: "np.ndarray", block: int) -> "np.ndarray":
-    """Words 4 block to 4 block + 3 of each stream(seed, i), i in ``index``
-    (uint64), as the rows of a (4, len(index)) uint64 array.
+def _philox_block(seed: int, index: "np.ndarray", blocks: range) -> "np.ndarray":
+    """Words 4 b to 4 b + 3 of each stream(seed, i), for every Philox block b
+    in ``blocks`` and i in ``index`` (uint64), as a (4 len(blocks),
+    len(index)) uint64 array: row 4 j + w holds word w of block ``blocks[j]``.
 
     This is Philox4x64-10 (Salmon et al., SC'11) as numpy's ``Philox`` runs
-    it: key (seed, i), and counter (block + 1, 0, 0, 0), since numpy
-    increments the counter before it generates.  numpy has no 128-bit
-    integer, so each round multiplies words 0 and 2 together as one (2, n)
-    array and takes the high words of the products from 32-bit halves.  The
-    first round's counter is the same for every column, so it is done on
-    Python ints: only its word 2 depends on i.
+    it: key (seed, i), and counter (b + 1, 0, 0, 0), since numpy increments
+    the counter before it generates.  Every block is a run of columns of one
+    computation.  numpy has no 128-bit integer, so each round multiplies
+    words 0 and 2 together as one (2, columns) array and takes the high
+    words of the products from 32-bit halves.  The counter enters only the
+    first round, as (b + 1) M0, and only its word 2 depends on i, so that
+    round is done on Python ints, one product a block repeated across the
+    block's columns.
     """
     import numpy as np
 
     u64 = np.uint64
     lo32, s32 = u64(0xFFFFFFFF), u64(32)
-    n = len(index)
+    n_blocks, n = len(blocks), len(index)
     # the multipliers of words 0 and 2, their 32-bit halves, the key
     # increments and the key
-    mul, m_lo, m_hi, bump, key = np.empty((5, 2, n), u64)
+    mul, m_lo, m_hi, bump, key = np.empty((5, 2, n_blocks * n), u64)
     mul[0], mul[1] = _PHILOX_M
     np.bitwise_and(mul, lo32, out=m_lo)
     np.right_shift(mul, s32, out=m_hi)
     bump[0], bump[1] = _PHILOX_W
-    key[0], key[1] = seed, index
+    key[0] = seed
+    key[1].reshape(n_blocks, n)[:] = index
     # a holds words 0 and 2, b words 3 and 1 (reversed, as the round
     # writes them), after the first round
-    a, b, spare, a_lo, a_hi, t, v, high = np.empty((8, 2, n), u64)
-    high0, low0 = divmod((block + 1) * _PHILOX_M[0], 2**64)
+    a, b, spare, a_lo, a_hi, t, v, high = np.empty((8, 2, n_blocks * n), u64)
+    # the high and low words of each block's (b + 1) M0, one row a block
+    counter_mul = np.array([divmod((block + 1) * _PHILOX_M[0], 2**64) for block in blocks], u64)
     a[0] = seed
-    np.bitwise_xor(index, u64(high0), out=a[1])
-    b[0], b[1] = low0, 0
+    np.bitwise_xor(index, counter_mul[:, :1], out=a[1].reshape(n_blocks, n))
+    b[0].reshape(n_blocks, n)[:] = counter_mul[:, 1:]
+    b[1] = 0
     for _ in range(9):
         key += bump
         np.bitwise_and(a, lo32, out=a_lo)
@@ -251,33 +197,36 @@ def _philox_block(seed: int, index: "np.ndarray", block: int) -> "np.ndarray":
         np.bitwise_xor(spare, key, out=spare)
         np.multiply(a, mul, out=b)
         a, spare = spare, a
-    words = np.empty((4, n), u64)
-    words[0::2], words[1::2] = a, b[::-1]
-    return words
+    words = np.empty((n_blocks, 4, n), u64)
+    words[:, 0::2] = a.reshape(2, n_blocks, n).swapaxes(0, 1)
+    words[:, 1::2] = b[::-1].reshape(2, n_blocks, n).swapaxes(0, 1)
+    return words.reshape(4 * n_blocks, n)
 
 
 def _lockstep(cfg: SimConfig, sampler: InverseCdfSampler, first: int,
               stop: int) -> "np.ndarray":
     """Paths of replicates ``first`` to ``stop`` as the columns of an int64
-    array, one row per horizon, each column exactly what ``_trajectories``
-    yields on its stream.
+    array, one row per horizon, each column exactly what ``simulate_counts``
+    returns on its stream.
 
-    The rows take their events together: event k of every active row reads
-    its holding-time and offspring uniforms from words 2 (k mod 2) and
-    2 (k mod 2) + 1 of Philox block k // 2 of its own stream, computed for
-    all of them at once by ``_philox_block``.  Each uniform and holding time
-    is the scalar loop's, bit for bit: -log1p(-u) through ``math.log1p``
-    (numpy's log1p can differ in the last bit), the offspring by
-    ``searchsorted(cum, u, "right")``, as ``bisect_right`` in the sampler's
-    table, and the horizons passed by ``searchsorted(bounds, t, "left")``.
+    The rows take their events together, and each row runs to its end here:
+    event k of a row reads its holding-time and offspring uniforms from
+    words 2 (k mod 2) and 2 (k mod 2) + 1 of Philox block k // 2 of its own
+    stream, computed by ``_philox_block``.  While ``_LOOKAHEAD_ROWS`` or more
+    rows remain, one call computes the next block of every row.  Below that,
+    one call computes several blocks a row ahead, about 4 ``_LOOKAHEAD_ROWS``
+    columns and at most ``_LOOKAHEAD_BLOCKS`` blocks a row, and the unread
+    uniforms are kept as an (event, holding/offspring, row) array filtered
+    with the rows.  Each uniform and holding time is ``simulate_counts``',
+    bit for bit: -log1p(-u) through ``math.log1p`` (numpy's log1p can differ
+    in the last bit), the offspring by ``searchsorted(cum, u, "right")``, as
+    ``bisect_right`` in the sampler's table, which ends in an inf cumulative
+    mass, and the horizons passed by ``searchsorted(bounds, t, "left")``.
     After each event a row writes its new count at the first horizon it
     has not passed, where that count holds unless a later event writes
     over it, and the horizons passed in one step take the count written at
     the first of them, filled forward at the end.  A row leaves the block
-    at the last horizon or at extinction.  Every offspring uniform lands in
-    the sampler's table, which ends in an inf cumulative mass, so only the
-    last rows, once fewer than ``_STRAGGLERS`` remain, are handed to
-    ``_trajectories``, which reruns them from their streams.
+    at the last horizon or at extinction.
     """
     import numpy as np
 
@@ -294,12 +243,17 @@ def _lockstep(cfg: SimConfig, sampler: InverseCdfSampler, first: int,
     rows = np.arange(n)
     count = np.ones(n, np.int64)
     t = np.zeros(n)
-    k = 0
-    while len(rows) >= _STRAGGLERS:
-        if k % 2 == 0:
+    block = 0  # the next Philox block of every row
+    ahead = np.empty((0, 2, n))  # the unread uniforms, by event, kind and row
+    while len(rows):
+        if not len(ahead):
+            span = 1 if len(rows) >= _LOOKAHEAD_ROWS else min(
+                _LOOKAHEAD_BLOCKS, 4 * _LOOKAHEAD_ROWS // len(rows))
             keys = rows.astype(np.uint64) + np.uint64(first)
-            uniforms = (_philox_block(cfg.seed, keys, k // 2) >> np.uint64(11)) * 2.0**-53
-        hold_u, draw_u = uniforms[2 * (k % 2)], uniforms[2 * (k % 2) + 1]
+            words = _philox_block(cfg.seed, keys, range(block, block + span))
+            ahead = ((words >> np.uint64(11)) * 2.0**-53).reshape(2 * span, 2, len(rows))
+            block += span
+        hold_u, draw_u = ahead[0]
         t -= np.fromiter(map(math.log1p, (-hold_u).tolist()), np.float64, len(rows)) / count
         passed = np.searchsorted(bounds, t, "left")
         # the new count holds at the next horizon unless another event comes
@@ -312,14 +266,7 @@ def _lockstep(cfg: SimConfig, sampler: InverseCdfSampler, first: int,
             raise PopulationCapExceeded(
                 f"population {biggest} exceeded cap {cfg.max_population}")
         keep = live & (count > 0)
-        rows, t, count = rows[keep], t[keep], count[keep]
-        if k % 2 == 0:
-            uniforms = uniforms[:, keep]
-        k += 1
-    if len(rows):
-        marks[:n_horizons, rows] = np.array(list(_trajectories(
-            cfg.params, cfg.horizons, map(_rekeyer(cfg.seed), (first + i for i in rows.tolist())),
-            sampler, cfg.max_population))).T
+        rows, t, count, ahead = rows[keep], t[keep], count[keep], ahead[1:, :, keep]
     marks = marks[:n_horizons]
     begun = np.where(marks >= 0, np.arange(n_horizons)[:, None], 0)
     np.maximum.accumulate(begun, axis=0, out=begun)
@@ -328,20 +275,47 @@ def _lockstep(cfg: SimConfig, sampler: InverseCdfSampler, first: int,
 
 def simulate_counts(params: ModelParams, horizons, rng: "np.random.Generator",
                     sampler: InverseCdfSampler = None) -> "np.ndarray":
-    """Counts observed at each horizon along one trajectory from X(0) = 1.
+    """Counts observed at each horizon along one trajectory from X(0) = 1:
+    the one definition of a replicate, which ``estimate_law`` evaluates a
+    block at a time (``_lockstep``).
 
-    This is the scalar event loop, ``_trajectories``, run on one Generator:
-    the replicate ``estimate_law`` evaluates a block at a time.  It never
-    simulates past the last horizon, and an extinct population fills the
-    remaining horizons with zeros immediately.  Without ``sampler``, a fresh
-    ``offspring_sampler(params)`` is built.  The population cap is
-    ``SimConfig``'s default.
+    Only count-changing events are simulated: they come at rate
+    rate q count, q = ``change_prob(params)``, and each replaces the dying
+    particle by a draw from ``sampler``, the offspring law given eta != 1;
+    without ``sampler``, a fresh ``offspring_sampler(params)`` is built.
+    q comes from ``params`` and never from the sampler, which may be any
+    object with a ``draw``.  Time runs in units of 1/(rate q) (``_clock``),
+    so a holding time is one exponential over the count.
+
+    The trajectory draws from ``rng`` only: per event, a uniform u whose
+    -log1p(-u) is the exponential holding time, then an offspring draw
+    unless the event falls past the last horizon.  It never simulates past
+    the last horizon, and an extinct population fills the remaining
+    horizons with zeros without drawing again.  The population cap is
+    ``SimConfig``'s default.  Raises DomainError on horizons ``SimConfig``
+    rejects.
     """
     import numpy as np
 
+    _check_horizons(horizons)
     if sampler is None:
         sampler = offspring_sampler(params)
-    path = next(_trajectories(params, horizons, (rng,), sampler, _MAX_POPULATION))
+    # the sentinel ends every horizon scan
+    bounds = (*_clock(params, horizons), math.inf)
+    n_horizons = len(horizons)
+    path = []
+    count = 1
+    t = 0.0
+    while count:
+        t -= math.log1p(-rng.random()) / count
+        while bounds[len(path)] < t:
+            path.append(count)
+        if len(path) == n_horizons:
+            break
+        count += sampler.draw(rng) - 1
+        if count > _MAX_POPULATION:
+            raise PopulationCapExceeded(f"population {count} exceeded cap {_MAX_POPULATION}")
+    path += [0] * (n_horizons - len(path))
     return np.array(path, dtype=np.int64)
 
 

@@ -55,9 +55,39 @@ def chi_square_pvalue(data, pmf, start, nbins):
     return float(mpmath.gammainc((len(expected) - 1) / 2, statistic / 2, regularized=True))
 
 
+def rekeyed_streams(seed):
+    """A function of i that re-keys one reused Philox in place to (seed, i),
+    with a fresh counter and an empty buffer, and returns its Generator:
+    ``stream(seed, i)``, without building a new Philox for each i, for the
+    tests that run many thousands of single replicates.  The returned
+    Generator is valid only until the next call.  The reused state holds
+    plain ints rather than the uint64 arrays ``bitgen.state`` returns, since
+    the setter reads them element by element and an array would make a
+    numpy scalar of each on every re-key.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    fresh = bitgen.state
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
+    key = fresh["state"]["key"]
+    rng = np.random.Generator(bitgen)
+
+    def rekeyed(index):
+        key[1] = index
+        bitgen.state = fresh
+        return rng
+
+    return rekeyed
+
+
 @pytest.fixture(scope="session")
 def gof_pvalue():
     return chi_square_pvalue
+
+
+@pytest.fixture(scope="session")
+def rekeyer():
+    return rekeyed_streams
 
 
 @pytest.fixture(scope="session")

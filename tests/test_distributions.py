@@ -18,7 +18,6 @@ from logbranch import (
     stream,
 )
 from logbranch.model import ALPHA_CRITICAL, changed_offspring_pmf
-from logbranch.simulate import _rekeyer
 
 gammas = st.floats(min_value=0.05, max_value=0.95)
 bs = st.floats(min_value=0.05, max_value=0.95)
@@ -57,36 +56,36 @@ def _mixed_draws(rng):
 
 
 class TestStreams:
-    """stream(seed, i) against the re-keyed Generator of ``_rekeyer(seed)``
-    and against a Philox built apart from both."""
+    """stream(seed, i) against the test suite's re-keyed Generator
+    (``rekeyer(seed)``) and against a Philox built apart from both."""
 
     @pytest.mark.parametrize("start,stop", [(0, 40), (2**64 - 5, 2**64)],
                              ids=["from-zero", "to-2**64"])
-    def test_matches_stream(self, start, stop):
-        rekeyed = [_mixed_draws(rng) for rng in map(_rekeyer(77), range(start, stop))]
+    def test_matches_stream(self, rekeyer, start, stop):
+        rekeyed = [_mixed_draws(rng) for rng in map(rekeyer(77), range(start, stop))]
         fresh = [_mixed_draws(stream(77, i)) for i in range(start, stop)]
         assert rekeyed == fresh
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["seed-0", "seed-2**64-1"])
     @pytest.mark.parametrize("start,stop", [(0, 2), (2**63 - 1, 2**63 + 1), (2**64 - 2, 2**64)],
                              ids=["0-1", "2**63", "2**64-1"])
-    def test_matches_independent_philox(self, seed, start, stop):
-        # stream is a re-keyed Generator too, so only a Generator built
-        # without the re-key can catch a fault the two share
+    def test_matches_independent_philox(self, rekeyer, seed, start, stop):
+        # a Generator built from a plain Philox key checks both the re-key
+        # and stream's key array
         def independent(i):
             return np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
 
         expected = [_mixed_draws(independent(i)) for i in range(start, stop)]
-        assert [_mixed_draws(rng) for rng in map(_rekeyer(seed), range(start, stop))] == expected
+        assert [_mixed_draws(rng) for rng in map(rekeyer(seed), range(start, stop))] == expected
         assert [_mixed_draws(stream(seed, i)) for i in range(start, stop)] == expected
 
-    def test_partly_consumed_buffer_is_reset(self):
+    def test_partly_consumed_buffer_is_reset(self, rekeyer):
         # one 32-bit draw leaves three words buffered and a cached half word
         def draws(rng):
             return (rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
                     rng.random(3).tolist())
 
-        rekeyed = _rekeyer(5)
+        rekeyed = rekeyer(5)
         rekeyed(3).integers(0, 2**32, dtype=np.uint32)
         assert draws(rekeyed(4)) == draws(stream(5, 4))
 

@@ -9,6 +9,7 @@ import pytest
 from logbranch import (
     DomainError,
     EmpiricalLaw,
+    InverseCdfSampler,
     ModelParams,
     PopulationCapExceeded,
     SimConfig,
@@ -22,13 +23,12 @@ from logbranch import (
 )
 from logbranch.model import change_prob
 from logbranch.simulate import (
+    _MAX_POPULATION,
     _PATH_BLOCK,
     _expected_events,
     _lockstep,
     _philox_block,
     _product,
-    _rekeyer,
-    _trajectories,
 )
 
 
@@ -102,10 +102,10 @@ class TestStep:
         assert counts.tolist() == [1, 5, 9]
 
     def test_cap_enforced(self, params_half):
-        # 1 -> 5 -> 9 -> 13 passes the cap on the third event
+        # 1 -> cap -> 2 cap - 1 passes the default cap on the second event
         with pytest.raises(PopulationCapExceeded):
-            next(_trajectories(params_half, (100.0,), (stream(1, 0),),
-                               _FixedDraw(5), 12))
+            simulate_counts(params_half, (100.0,), stream(1, 0),
+                            sampler=_FixedDraw(_MAX_POPULATION))
 
     @pytest.mark.parametrize("rate, seed, draws",
                              [(1.0, 31, 50_000), (4.0, 8, 20_000)],
@@ -129,9 +129,15 @@ class TestSimulateCounts:
         counts = simulate_counts(params_half, (1e-12,), stream(3, 0))
         assert counts.tolist() == [1]
 
-    def test_zero_stays_absorbed(self, params_half):
+    @pytest.mark.parametrize("horizons", [(), (2.0, 1.0), (-1.0, 1.0), (math.nan, 1.0)])
+    def test_rejects_bad_horizons(self, params_half, horizons):
+        # the horizons SimConfig rejects; each once returned a path
+        with pytest.raises(DomainError, match="horizon"):
+            simulate_counts(params_half, horizons, stream(1, 3))
+
+    def test_zero_stays_absorbed(self, params_half, rekeyer):
         horizons = (0.5, 1.0, 2.0, 4.0)
-        for rng in map(_rekeyer(17), range(400)):
+        for rng in map(rekeyer(17), range(400)):
             counts = simulate_counts(params_half, horizons, rng)
             seen_zero = False
             for c in counts:
@@ -156,9 +162,9 @@ class TestRunReplicate:
         second = simulate_counts(params_half, self.HORIZONS, stream(42, 7))
         assert np.array_equal(first, second)
 
-    def test_replicates_differ(self, params_half):
+    def test_replicates_differ(self, params_half, rekeyer):
         rows = [tuple(simulate_counts(params_half, self.HORIZONS, rng))
-                for rng in map(_rekeyer(42), range(25))]
+                for rng in map(rekeyer(42), range(25))]
         assert len(set(rows)) > 1
 
 
@@ -169,7 +175,7 @@ class TestPhiloxBlock:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_words_match_streams(self, seed):
         index = np.array(self.INDICES, dtype=np.uint64)
-        blocks = np.concatenate([_philox_block(seed, index, k) for k in range(4)])
+        blocks = np.concatenate([_philox_block(seed, index, range(k, k + 1)) for k in range(4)])
         for column, i in enumerate(self.INDICES):
             raw = stream(seed, i).bit_generator.random_raw(16)
             assert blocks[:, column].tolist() == raw.tolist()
@@ -177,18 +183,32 @@ class TestPhiloxBlock:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_uniforms_are_top_53_bits(self, seed):
         index = np.array(self.INDICES, dtype=np.uint64)
-        words = np.concatenate([_philox_block(seed, index, k) for k in range(4)])
+        words = np.concatenate([_philox_block(seed, index, range(k, k + 1)) for k in range(4)])
         for column, i in enumerate(self.INDICES):
             rng = stream(seed, i)
             assert [rng.random() for _ in range(16)] == [
                 (w >> 11) * 2.0**-53 for w in words[:, column].tolist()]
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    # a 64-block lookahead from block 0, blocks either side of 2**32, and the
+    # last block before numpy's counter carries into its second word
+    @pytest.mark.parametrize("first, blocks", [(0, 64), (2**32 - 1, 3), (2**64 - 2, 1)])
+    def test_blocks_in_one_call(self, seed, first, blocks):
+        index = np.array(self.INDICES, dtype=np.uint64)
+        words = _philox_block(seed, index, range(first, first + blocks))
+        assert words.shape == (4 * blocks, len(self.INDICES))
+        for column, i in enumerate(self.INDICES):
+            for j, block in enumerate(range(first, first + blocks)):
+                philox = np.random.Philox(key=np.array([seed, i], dtype=np.uint64),
+                                          counter=np.array([block, 0, 0, 0], dtype=np.uint64))
+                assert words[4 * j:4 * j + 4, column].tolist() == philox.random_raw(4).tolist()
+
 
 class TestBlockPaths:
     """Every replicate's whole path from the block loop is
     ``simulate_counts`` on its own stream(seed, i), whatever the range, the
-    block edges and the point where the block hands its stragglers to the
-    scalar loop."""
+    block edges and the point where the block starts to compute Philox
+    blocks ahead."""
 
     @pytest.mark.parametrize("alpha, horizons", [
         (0.5, (0.5, 1.0, 2.0)), (0.75, (1.0, 4.0, 16.0, 32.0)),
@@ -196,40 +216,45 @@ class TestBlockPaths:
     # a range of 1.22 blocks from 0, and one that starts mid-block as a
     # worker's range does
     @pytest.mark.parametrize("start, stop", [(0, 5000), (1234, 1234 + _PATH_BLOCK + 777)])
-    # every row run in lockstep to the end, the default straggler handoff,
-    # and every row handed to the scalar loop
-    @pytest.mark.parametrize("stragglers", [1, simulate._STRAGGLERS, _PATH_BLOCK + 1])
-    def test_paths_match_streams(self, monkeypatch, alpha, horizons, start, stop,
-                                 stragglers):
+    # the rows below which a block looks ahead: with 1 it never does and
+    # every call computes one Philox block, then the default, and a
+    # lookahead from the first event
+    @pytest.mark.parametrize("lookahead_rows", [1, simulate._LOOKAHEAD_ROWS, _PATH_BLOCK + 1])
+    def test_paths_match_streams(self, monkeypatch, rekeyer, alpha, horizons, start, stop,
+                                 lookahead_rows):
         params = ModelParams(alpha, 1.0)
         cfg = SimConfig(params, horizons, stop, 29)
         sampler = offspring_sampler(params)
         expected = [tuple(simulate_counts(params, horizons, rng, sampler).tolist())
-                    for rng in map(_rekeyer(cfg.seed), range(start, stop))]
-        handed = []
+                    for rng in map(rekeyer(cfg.seed), range(start, stop))]
+        spans = []
 
-        def recording(params, horizons, rngs, sampler, cap):
-            # rngs re-keys one Generator, so each must be used before the next
-            def counted():
-                for rng in rngs:
-                    handed.append(1)
-                    yield rng
+        def recording(seed, index, blocks):
+            spans.append(len(blocks))
+            return _philox_block(seed, index, blocks)
 
-            return _trajectories(params, horizons, counted(), sampler, cap)
-
-        monkeypatch.setattr(simulate, "_STRAGGLERS", stragglers)
-        monkeypatch.setattr(simulate, "_trajectories", recording)
+        monkeypatch.setattr(simulate, "_LOOKAHEAD_ROWS", lookahead_rows)
+        monkeypatch.setattr(simulate, "_philox_block", recording)
         paths = []
         for first in range(start, stop, _PATH_BLOCK):
             block = _lockstep(cfg, sampler, first, min(first + _PATH_BLOCK, stop))
             paths.extend(map(tuple, block.T.tolist()))
         assert paths == expected
-        if stragglers == 1:
-            # every offspring uniform lands in the sampler's table, so with
-            # no stragglers every row runs in lockstep to its end
-            assert sum(handed) == 0
-        if stragglers > _PATH_BLOCK:
-            assert sum(handed) == stop - start
+        if lookahead_rows == 1:
+            assert set(spans) == {1}
+        if lookahead_rows > _PATH_BLOCK:
+            assert min(spans) > 1
+
+    def test_block_loop_serves_every_replicate(self, monkeypatch):
+        # no replicate falls back to a scalar draw, even near criticality
+        # where the last rows of a block take the most events
+        def no_draw(self, rng):
+            raise AssertionError("a scalar offspring draw was taken")
+
+        monkeypatch.setattr(InverseCdfSampler, "draw", no_draw)
+        cfg = SimConfig(ModelParams(0.75, 1.0), (1.0, 4.0, 16.0, 32.0), 5_000, 29)
+        laws = estimate_law(cfg)
+        assert all(sum(law.counts.values()) == cfg.replicates for law in laws)
 
     def test_first_stream_at_far_index(self):
         # keys near 2**64: the last replicates a run can have
@@ -329,14 +354,14 @@ class TestEstimateLaw:
         alive = {n: c for n, c in law.counts.items() if n >= 1}
         assert gof_pvalue(alive, conditional_family(params_half, tp).pmf, 1, 26) > 1e-3
 
-    def test_branching_composition(self, params_half):
+    def test_branching_composition(self, params_half, rekeyer):
         # X(0.8) must match the sum of X(0.4)-many independent copies run 0.4
         n_rep = 100_000
         direct = estimate_law(SimConfig(params_half, (0.8,), n_rep, 777))[0]
         sampler = offspring_sampler(params_half)
         composed = Counter()
-        for rng_mid, rng in zip(map(_rekeyer(778), range(n_rep)),
-                                map(_rekeyer(779), range(n_rep))):
+        for rng_mid, rng in zip(map(rekeyer(778), range(n_rep)),
+                                map(rekeyer(779), range(n_rep))):
             mid = simulate_counts(params_half, (0.4,), rng_mid, sampler)[0]
             total = 0
             for _ in range(int(mid)):
@@ -390,9 +415,8 @@ class TestEventBudget:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rejects_before_any_draw(self, monkeypatch, alpha, horizon, replicates, workers):
         def no_draws(*args):
-            raise AssertionError("a stream was built")
+            raise AssertionError("Philox words were computed")
 
-        monkeypatch.setattr("logbranch.simulate._rekeyer", no_draws)
         monkeypatch.setattr("logbranch.simulate._philox_block", no_draws)
         cfg = SimConfig(ModelParams(alpha, 1.0), (min(1.0, horizon / 2), horizon),
                         replicates, 3)
