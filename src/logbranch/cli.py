@@ -12,19 +12,21 @@ its columns' types: a Python call per cell cost more than the tables
 themselves.  Every command writes one record: the schema version, the
 command name and its params, then its own fields.
 
-``pmf`` and ``limit`` evaluate their terms only up to the first exact 0.0
-at n >= 1 and sum the ``tail`` row over the evaluated prefix.  This is exact
-because the terms are nonincreasing from n = 1 on: the ExtendedSibuya ratio
-b (n - gamma)/(n + 1) and the LogSeries ratio alpha n/(n + 1) are below
-alpha < ``ALPHA_CRITICAL`` ≈ 0.7726, and the survival factor keeps the
-order.  The log-terms fall by at least |log 0.7726| ≈ 0.26 a step, far more
-than the rounding error of a computed term, so after one term underflows to
-0.0 so does every later one.  Their rows are built only until every column
-holds its stop value: probability 0.0, and a moment past float range, or
-0.0 where nmax alpha/(1 - alpha) <= ``ALPHA_CRITICAL`` makes the moments
-fall as fast as the probabilities.  The rest of the table is written as one
-string per format, one ``%`` a row and no row built, so a large ``--nmax``
-costs little more than the text it writes.
+``pmf`` and ``limit`` evaluate their terms up to nmax or the first exact
+0.0 at n >= 1, and their ``tail`` row sums the terms past the last one
+evaluated through ``distributions._certified_terms`` with ratio alpha: an
+exact 0.0 after a 0.0 term.  Both rest on the terms being nonincreasing
+from n = 1 on: the ExtendedSibuya ratio b (n - gamma)/(n + 1) and the
+LogSeries ratio alpha n/(n + 1) are below alpha < ``ALPHA_CRITICAL`` ≈
+0.7726, and the survival factor keeps the order.  The log-terms fall by at
+least |log 0.7726| ≈ 0.26 a step, far more than the rounding error of a
+computed term, so after one term underflows to 0.0 so does every later one.
+Their rows are built only until every column holds its stop value:
+probability 0.0, and a moment past float range, or 0.0 where
+nmax alpha/(1 - alpha) <= ``ALPHA_CRITICAL`` makes the moments fall as fast
+as the probabilities.  The rest of the table is written as one string per
+format, one ``%`` a row and no row built, so a large ``--nmax`` costs little
+more than the text it writes.
 
 Exit codes: 0 success, 1 a verification check failed or the harness failed
 numerically (``NumericalDivergence``, ``PrecisionLoss``, with ``error: ...``
@@ -44,7 +46,7 @@ import sys
 import click
 
 from . import closed_form
-from .distributions import LogSeries
+from .distributions import LogSeries, _certified_terms
 from .errors import (
     DomainError,
     NumericalDivergence,
@@ -175,15 +177,15 @@ def _column(term, sizes, stop) -> list:
     return values
 
 
-def _echo_law(command, params, fmt, columns, sizes, term, *extra):
+def _echo_law(command, params, fmt, columns, sizes, term, ratio, *extra):
     """A law's table: a row per size of ``term(n)`` and of each ``(term,
     stop)`` column in ``extra``, both through ``_column``, then a ``tail``
-    row holding the mass 1 - sum of the probabilities past the last size.
+    row: the sum of ``term(n)`` past the last one evaluated, through
+    ``_certified_terms`` at ratio ``ratio`` (after a 0.0, an exact 0.0).
 
     Rows are built only up to the size where every column has reached its
     stop value (probability 0.0, moment None or 0.0); the rest go to
-    ``_render`` as a run, and the tail is summed over the evaluated
-    probabilities, since the rest are 0.
+    ``_render`` as a run.
     """
     stops = (0.0, *(stop for _, stop in extra))
     evaluated = [_column(term, sizes, 0.0),
@@ -191,7 +193,8 @@ def _echo_law(command, params, fmt, columns, sizes, term, *extra):
     built = max(map(len, evaluated))
     rows = list(zip(sizes[:built], *(values + [stop] * (built - len(values))
                                      for values, stop in zip(evaluated, stops))))
-    tail = max(0.0, 1.0 - math.fsum(evaluated[0]))
+    end = sizes.start + len(evaluated[0])
+    tail = math.fsum(_certified_terms(term, end, end, ratio, 0.0))
     tail_row = ["tail", tail, *[None] * len(extra)]
     _echo_record(command, params, fmt, columns, rows, [tail_row],
                  run=(sizes[built:], stops),
@@ -228,7 +231,7 @@ def pmf(alpha, rate, time_, nmax, conditional, fmt):
         term = closed_form._pmf_term(params, tp)
     _echo_law("pmf", {"alpha": alpha, "k": rate, "t": time_, "nmax": nmax,
                       "conditional": conditional},
-              fmt, ["n", "probability"], sizes, term)
+              fmt, ["n", "probability"], sizes, term, params.alpha)
 
 
 @cli.command(cls=_Command)
@@ -255,7 +258,7 @@ def limit(alpha, nmax, fmt):
 
     _echo_law("limit", {"alpha": alpha, "nmax": nmax}, fmt,
               ["n", "probability", "factorial_moment"], _sizes(1, nmax),
-              law.pmf, (moment, moment_stop))
+              law.pmf, law.alpha, (moment, moment_stop))
 
 
 _HORIZON_COLUMNS = ["n", "count", "empirical_prob", "model_prob"]

@@ -24,8 +24,8 @@ the families directly instead.
 import math
 from dataclasses import dataclass
 
-from .distributions import ExtendedSibuya, LogSeries
-from .errors import DomainError, PrecisionLoss
+from .distributions import ExtendedSibuya, LogSeries, _certified_terms
+from .errors import DomainError
 from .model import ModelParams, TimePoint, _log_ratio
 
 
@@ -139,34 +139,19 @@ class DiscreteLaw:
         return math.fsum(self.probs) + self.tail_mass
 
 
-_TAIL_BOUND = 1e-12
-_MAX_TERMS = 100_000
+_TAIL_BOUND = 1e-12  # most mass a law table leaves out
 
 
 def _build_law(pmf_at_n, support_offset: int, ratio_bound: float) -> DiscreteLaw:
-    """Tabulate pmf_at_n from support_offset until the geometric tail bound
-    pmf(n) * r / (1 - r) drops below _TAIL_BOUND (valid once n >= 1)."""
-    probs = []
-    n = support_offset
-    while True:
-        p = pmf_at_n(n)
-        probs.append(p)
-        if n >= 1 and p * ratio_bound / (1.0 - ratio_bound) < _TAIL_BOUND:
-            break
-        n += 1
-        if n - support_offset >= _MAX_TERMS:
-            raise PrecisionLoss(f"law table did not reach tail bound {_TAIL_BOUND!r} "
-                                f"within {_MAX_TERMS} terms")
+    probs = _certified_terms(pmf_at_n, support_offset, 1, ratio_bound, _TAIL_BOUND)
     bound = probs[-1] * ratio_bound / (1.0 - ratio_bound)
     return DiscreteLaw(support_offset, tuple(probs), bound)
 
 
 def law_at(params: ModelParams, tp: TimePoint) -> DiscreteLaw:
-    """Table of P(X(t) = n) from n = 0, cut off by the certified alpha-ratio tail.
-
-    The pmf ratio alpha (n - M)/(n + 1) stays below alpha for n >= 1, so the
-    mass past the last entry is at most pmf(last) * alpha / (1 - alpha).
-    """
+    """Table of P(X(t) = n) from n = 0, cut by ``_certified_terms`` at
+    ``_TAIL_BOUND`` with ratio alpha, which bounds the pmf ratio
+    alpha (n - M)/(n + 1) for n >= 1."""
     if tp.mean == 1.0:
         return DiscreteLaw(0, (0.0, 1.0), 0.0)
     return _build_law(_pmf_term(params, tp), 0, params.alpha)

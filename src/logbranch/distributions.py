@@ -17,12 +17,8 @@ constants of its terms (the logs of its parameters, lgamma(1 - gamma), the
 log-odds, the log normaliser) once, when it is built, so a term costs one
 or two ``lgamma`` calls and an ``exp``.
 
-Sampling takes one uniform a draw: the CDF is tabulated from the pmf until
-the certified geometric tail p(n+1) <= r p(n), which every sampled law here
-admits (both families and the offspring law of a count-changing death),
-leaves less than 2^-53 past the table, one step of ``rng.random()``, and the
-uniform is inverted by bisection, so a draw is exact to the resolution of
-its uniform.
+Sampling takes one uniform a draw, inverted by bisection in a CDF table, so
+a draw is exact to the 2^-53 resolution of its uniform.
 
 Nothing here imports numpy when the module loads: the laws are stdlib
 ``math``, and the closed form and the ``pmf`` and ``limit`` commands import
@@ -36,6 +32,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -184,6 +181,35 @@ class LogSeries:
         return math.log1p(-self.alpha * s) / math.log1p(-self.alpha)
 
 
+_MAX_TERMS = 4096  # most terms one certified run evaluates
+
+
+def _certified_terms(pmf, start: int, first: int, ratio: float, bound: float) -> list:
+    """[pmf(start), ..., pmf(end)] for the first end >= first where pmf(end)
+    is 0.0 or pmf(end) ratio/(1 - ratio) < max(bound, ulp(sum of terms)/2).
+
+    That product bounds the mass past end wherever pmf(n + 1) <= ratio pmf(n)
+    from ``first`` on, as for both families (ratio alpha or b, from n = 1)
+    and the offspring law (ratio alpha, from n = 2).  The law tables in
+    ``closed_form``, the sampler's CDF and the CLI's ``tail`` row are cut
+    here.  A run past ``_MAX_TERMS`` terms, which only a pmf that breaks its
+    ratio or a ratio above about 0.99 needs, raises DomainError.
+    """
+    if not 0.0 < ratio < 1.0:
+        raise DomainError(f"ratio bound must lie in (0, 1), got {ratio!r}")
+    odds = ratio / (1.0 - ratio)
+    terms = []
+    total = 0.0
+    for n in range(start, start + _MAX_TERMS):
+        p = pmf(n)
+        terms.append(p)
+        total += p
+        if n >= first and (p == 0.0 or p * odds < max(bound, math.ulp(total) / 2.0)):
+            return terms
+    raise DomainError(f"ratio bound {ratio!r} does not certify the tail "
+                      f"within {_MAX_TERMS} terms")
+
+
 def offspring_sampler(params: ModelParams) -> "InverseCdfSampler":
     """Sampler for the offspring law of a death that changes the count,
     ``changed_offspring_pmf``: the reproduction law given eta != 1, which the
@@ -194,40 +220,22 @@ def offspring_sampler(params: ModelParams) -> "InverseCdfSampler":
                              ratio_bound=params.alpha)
 
 
-_TAIL_BOUND = 2.0**-53  # most mass a sampler's table leaves out: one step of rng.random()
-_MAX_TABLE = 4096  # most entries a sampler's table holds
-
-
 class InverseCdfSampler:
     """Inverse-CDF sampler drawing one uniform per value, exact to the 2^-53
     resolution of ``rng.random()``.
 
-    The CDF is tabulated from ``support_start`` until a term p(n) certifies
-    the mass past it, p(n) r / (1 - r) with r = ``ratio_bound``, below 2^-53,
-    by the geometric ratio p(n+1) <= r p(n), which must hold from the third
-    entry on (the table keeps at least 3).  The last entry's cumulative mass
-    is inf, so the last value takes every uniform past the one before.  A
-    draw is ``support_start + bisect_right(cum, u)`` for one u =
+    The CDF is the running sum of ``_certified_terms`` from
+    ``support_start`` at bound 2^-53, at least 3 entries, with the last
+    cumulative mass inf, so the last value takes every uniform past the one
+    before.  A draw is ``support_start + bisect_right(cum, u)`` for one u =
     ``rng.random()``, a multiple of 2^-53, so each cell's mass is already
     rounded to that step, and to a few ulps by the float cumulative sum; the
-    tail left out is smaller than one step.  A ratio bound whose certificate
-    takes more than ``_MAX_TABLE`` entries (r above about 0.99) raises
-    DomainError; every law sampled here has r <= ``ALPHA_CRITICAL``.
+    tail left out is smaller than one step.
     """
 
     def __init__(self, pmf, support_start: int, ratio_bound: float):
-        if not 0.0 < ratio_bound < 1.0:
-            raise DomainError(f"ratio bound must lie in (0, 1), got {ratio_bound!r}")
-        odds = ratio_bound / (1.0 - ratio_bound)
-        cum = []
-        total = 0.0
-        while len(cum) < 3 or p * odds >= _TAIL_BOUND:
-            if len(cum) == _MAX_TABLE:
-                raise DomainError(f"ratio bound {ratio_bound!r} does not certify the tail "
-                                  f"within {_MAX_TABLE} table entries")
-            p = pmf(support_start + len(cum))
-            total += p
-            cum.append(total)
+        cum = list(accumulate(_certified_terms(pmf, support_start, support_start + 2,
+                                               ratio_bound, 2.0**-53)))
         cum[-1] = math.inf
         self._cum = cum
         self._support_start = support_start

@@ -8,12 +8,14 @@ import re
 import subprocess
 import sys
 from functools import partial
+from itertools import count, takewhile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
+from mpmath import mp
 
 from logbranch import (
     ALPHA_CRITICAL,
@@ -155,7 +157,7 @@ class TestLimitCommand:
             # below that the moments stay finite up to _CUT_NMAX
             assert expected[-1][2] is None
         _assert_law_output(runner, ["limit", "--alpha", repr(alpha),
-                                    "--nmax", str(_CUT_NMAX)], expected)
+                                    "--nmax", str(_CUT_NMAX)], expected, law.pmf)
 
     def test_rejects_bad_nmax(self, runner):
         result = runner.invoke(cli, ["limit", "--alpha", "0.5", "--nmax", "0"])
@@ -198,19 +200,77 @@ def _json_record(runner, args):
     return json.loads(result.output)
 
 
-def _assert_law_output(runner, args, expected):
-    """The table ``args`` print is the rows ``expected`` and then the tail
-    summed over them, in both formats: the JSON record, and the CSV bytes
-    that the cell rules give one cell at a time."""
-    tail = max(0.0, 1.0 - math.fsum(row[1] for row in expected))
+def _assert_law_output(runner, args, expected, term):
+    """The table ``args`` print is the rows ``expected`` and then the tail,
+    in both formats: the JSON record, and the CSV bytes that the cell rules
+    give one cell at a time.  The reference tail is the sum of every
+    ``term(n)`` past the rows up to the first 0.0."""
+    reference = math.fsum(takewhile(bool, map(term, count(expected[-1][0] + 1))))
     record = _json_record(runner, args)
     assert record["rows"] == expected
-    assert record["tail_mass"] == tail
+    tail = record["tail_mass"]
+    assert abs(tail - reference) <= 4 * math.ulp(reference), (tail, reference)
     result = runner.invoke(cli, args)
     assert result.exit_code == 0, result.output
     tail_row = ["tail", tail, *[None] * (len(record["columns"]) - 2)]
     assert result.stdout_bytes == _csv_reference(
         record["columns"], expected, [tail_row]).encode()
+
+
+def _mp_tail(alpha, nmax, mean=None, conditional=False):
+    """The mass past nmax to 50 digits, summed term by term from the ratio
+    recurrences: of X(t) at the float mean M (given survival if
+    ``conditional``), p(n + 1) = p(n) alpha (n - M)/(n + 1), or of
+    LogSeries(alpha) where ``mean`` is None, p(n + 1) = p(n) alpha n/(n + 1)."""
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        if mean is None:
+            p, m = a / -mp.log1p(-a), 0
+        else:
+            m = mp.mpf(mean)
+            p = a * m / -mp.expm1(m * mp.log1p(-a)) if conditional else (1 - a) ** (1 - m) * m
+        total = mp.mpf(0)
+        for n in count(1):
+            if n > nmax:
+                total += p
+                # the terms fall by alpha <= 0.77 a step: the rest is below 4e-30 total
+                if p < total * mp.mpf(10) ** -30:
+                    return float(total)
+            p *= a * (n - m) / (n + 1)
+
+
+class TestTailRow:
+    # the mass past nmax, summed from the terms past it, to 1e-12 relative
+    # of a 50-digit sum; 1 - fsum(rows) had no correct digit below 1e-16
+    @pytest.mark.parametrize("args, mean_at", [
+        # printed tail,0, where the tail is 3.0365386043624213e-22
+        (["pmf", "--alpha", "0.5", "--k", "1", "--t", "1", "--nmax", "60"], 1.0),
+        # printed 4.44e-16, where it is 7.9546e-269
+        (["pmf", "--alpha", "0.05", "--k", "1", "--t", "0.01", "--nmax", "200"], 0.01),
+        # printed 1.11e-16, where it is 6.0705e-18
+        (["limit", "--alpha", "0.7", "--nmax", "100"], None),
+    ], ids=["pmf-nmax-60", "pmf-nmax-200", "limit-nmax-100"])
+    def test_tail_below_rounding_of_one(self, runner, args, mean_at):
+        alpha, nmax = float(args[2]), int(args[-1])
+        mean = None if mean_at is None else ModelParams(alpha, 1.0).at(mean_at).mean
+        tail = _json_record(runner, args)["tail_mass"]
+        assert tail == pytest.approx(_mp_tail(alpha, nmax, mean), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.77])
+    @pytest.mark.parametrize("kind", ["pmf", "pmf-conditional", "limit"])
+    def test_tail_matches_mpmath(self, runner, alpha, kind):
+        params = ModelParams(alpha, 1.0)
+        for t in ([None] if kind == "limit" else [0.01, 1.0, 50.0]):
+            for nmax in (5, 20, 60, 200):
+                if kind == "limit":
+                    args, mean = ["limit", "--alpha", repr(alpha)], None
+                else:
+                    args = ["pmf", "--alpha", repr(alpha), "--k", "1", "--t", repr(t)]
+                    args += ["--conditional"] * (kind == "pmf-conditional")
+                    mean = params.at(t).mean
+                tail = _json_record(runner, [*args, "--nmax", str(nmax)])["tail_mass"]
+                exact = _mp_tail(alpha, nmax, mean, kind == "pmf-conditional")
+                assert tail == pytest.approx(exact, rel=1e-12, abs=0.0), (t, nmax)
 
 
 class TestZeroCut:
@@ -232,7 +292,7 @@ class TestZeroCut:
                 probs = [term(n) for n in sizes]
                 assert probs[-1] == 0.0
                 _assert_law_output(runner, args + ["--conditional"] * conditional,
-                                   [[n, p] for n, p in zip(sizes, probs)])
+                                   [[n, p] for n, p in zip(sizes, probs)], term)
 
     @pytest.mark.parametrize("args, column, first_stop", [
         # the probabilities reach 0.0 at n = 1058
@@ -250,6 +310,7 @@ class TestZeroCut:
         last = first_stop + 2
         if args[0] == "limit":
             law = LogSeries(0.05)
+            term = law.pmf
             rows = [[n, law.pmf(n), _moment_or_none(law, n)] for n in range(1, last + 1)]
         else:
             params = ModelParams(0.5, 1.0)
@@ -264,7 +325,7 @@ class TestZeroCut:
         assert values[first_stop] in (0.0, None)
         nmax = first_stop + offset
         _assert_law_output(runner, [*args, "--nmax", str(nmax)],
-                           [row for row in rows if row[0] <= nmax])
+                           [row for row in rows if row[0] <= nmax], term)
 
     @pytest.mark.parametrize("args", [
         ["pmf", "--k", "1", "--t", "1"],
@@ -307,7 +368,7 @@ class TestZeroCut:
         expected = [[n, law.pmf(n), _moment_or_none(law, n)] for n in range(1, nmax + 1)]
         assert expected[-1][1:] == [0.0, 0.0]
         _assert_law_output(runner, ["limit", "--alpha", "1e-4", "--nmax", str(nmax)],
-                           expected)
+                           expected, law.pmf)
 
 
 def _counted(method, calls):
@@ -541,7 +602,7 @@ _PINNED_TEXT = {
         b'"probability"], "rows": [[0, 0.3786377956594842], [1, '
         b'0.5652120672506878], [2, 0.0427856466314245], [3, 0.0092901443066996], '
         b'[4, 0.0026741605858567733], [5, 0.0008832200420646227]], '
-        b'"tail_mass": 0.0005169655237824422}\n',
+        b'"tail_mass": 0.000516965523782446}\n',
     ),
     "pmf-conditional-json": (
         ["pmf", "--alpha", "0.5", "--k", "1", "--t", "1", "--nmax", "5",
@@ -551,7 +612,7 @@ _PINNED_TEXT = {
         b'"probability"], "rows": [[1, 0.9096338066628576], [2, '
         b'0.06885781969444882], [3, 0.014951254263299962], [4, '
         b'0.004303706545355458], [5, 0.0014214254357521317]], '
-        b'"tail_mass": 0.0008319873982859383}\n',
+        b'"tail_mass": 0.0008319873982858814}\n',
     ),
     "pmf-conditional-unit-atom-json": (
         ["pmf", "--alpha", "0.5", "--k", "1", "--t", "1e-18", "--nmax", "3",
@@ -569,12 +630,12 @@ _PINNED_TEXT = {
         b'0.18033688011112042, 1.4426950408889634], [3, 0.06011229337037348, '
         b'2.885390081777926], [4, 0.022542110013890053, 8.656170245333785], [5, '
         b'0.00901684400555602, 34.624680981335096]], '
-        b'"tail_mass": 0.006644352054578362}\n',
+        b'"tail_mass": 0.00664435205457832}\n',
     ),
     # 140 rows; the moments of the last two are past float range
     "limit-overflow-json": (
         ["limit", "--alpha", "0.77", "--nmax", "140", "--format", "json"],
-        "66a5babeae9c95a441af6a9d80a6d9264cf3bed938b4fd672c3f66b3257919bb",
+        "da66105a5cc6ff6aeb09eec014b9282819aafed01f8de341b18fbcc912f90687",
     ),
 }
 

@@ -13,7 +13,6 @@ from logbranch import (
     ExtendedSibuya,
     LogSeries,
     ModelParams,
-    PrecisionLoss,
     conditional_family,
     conditional_law_at,
     extinction_prob,
@@ -239,7 +238,7 @@ class TestPmf:
 
     def test_table_that_cannot_converge_raises_typed_error(self):
         # a pmf that never decays keeps the tail bound at 0.5
-        with pytest.raises(PrecisionLoss, match="within 100000 terms"):
+        with pytest.raises(DomainError, match="within 4096 terms"):
             _build_law(lambda n: 0.5, 1, 0.5)
 
 

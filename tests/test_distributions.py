@@ -9,12 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logbranch import (
+    DiscreteLaw,
     DomainError,
     ExtendedSibuya,
     InverseCdfSampler,
     LogSeries,
     ModelParams,
+    conditional_family,
+    conditional_law_at,
+    law_at,
+    limit_law,
     offspring_sampler,
+    pmf,
     stream,
 )
 from logbranch.model import ALPHA_CRITICAL, changed_offspring_pmf
@@ -306,8 +312,50 @@ class TestSamplers:
     def test_rejects_uncertifiable_ratio(self):
         # at ratio 0.999 the certificate needs about 3e4 entries; the
         # sampler is never built, so nothing can draw from it
-        with pytest.raises(DomainError, match="4096"):
+        with pytest.raises(DomainError, match="within 4096 terms"):
             InverseCdfSampler(LogSeries(0.999).pmf, 1, ratio_bound=0.999)
+
+
+def _reference_law(pmf, start, ratio):
+    # closed_form._build_law's own loop, before the shared certified loop
+    probs, n = [], start
+    while True:
+        p = pmf(n)
+        probs.append(p)
+        if n >= 1 and p * ratio / (1.0 - ratio) < 1e-12:
+            return DiscreteLaw(start, tuple(probs), p * ratio / (1.0 - ratio))
+        n += 1
+
+
+def _reference_cum(pmf, start, ratio):
+    # InverseCdfSampler's own loop, before the shared certified loop
+    odds = ratio / (1.0 - ratio)
+    cum, total = [], 0.0
+    while len(cum) < 3 or p * odds >= 2.0**-53:
+        p = pmf(start + len(cum))
+        total += p
+        cum.append(total)
+    cum[-1] = math.inf
+    return cum
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-8, 1e-3, 0.05, 0.5, 0.75,
+                                   math.nextafter(ALPHA_CRITICAL, 0.0)])
+def test_certified_tables_match_their_own_loops(alpha):
+    # the law tables and the sampler's CDF are cut by one loop now; each
+    # must hold exactly what its own loop held, bit for bit, or the
+    # simulator's draws and verify's tolerances move
+    params = ModelParams(alpha, 1.0)
+    assert offspring_sampler(params)._cum == _reference_cum(
+        partial(changed_offspring_pmf, params), 0, alpha)
+    assert limit_law(params) == _reference_law(LogSeries(alpha).pmf, 1, alpha)
+    for t in (0.01, 1.0, 50.0):
+        tp = params.at(t)
+        unit_atom = DiscreteLaw(0, (0.0, 1.0), 0.0)
+        assert law_at(params, tp) == (unit_atom if tp.mean == 1.0 else _reference_law(
+            partial(pmf, params, tp), 0, alpha))
+        assert conditional_law_at(params, tp) == _reference_law(
+            conditional_family(params, tp).pmf, 1, alpha)
 
 
 def test_gof_gate_null_size(gof_pvalue):
