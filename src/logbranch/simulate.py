@@ -22,7 +22,11 @@ exactly what ``stream(seed, i)`` draws and its path is ``simulate_counts``'
 bit for bit.  Every row runs to its end in the block loop.  Philox is
 counter-based, so any block of any stream can be computed directly: once
 few rows remain, one call computes several blocks of each row's words
-ahead, and the rows read their next events from them.
+ahead, and the rows read their next events from them.  An event costs the
+block about 20 numpy calls however few rows it has left, so a block is as
+large as a budget of ``_BLOCK_CELLS`` path cells allows, and each worker
+runs one contiguous range of replicates; every row reads only its own
+stream, so how the rows are grouped changes no draw.
 
 Importing this module loads neither numpy nor the process pool: the functions
 that build Generators or arrays import numpy, and ``estimate_law`` imports the
@@ -42,11 +46,12 @@ from .model import ModelParams, change_prob
 if TYPE_CHECKING:
     import numpy as np
 
-_PATH_BLOCK = 4096  # replicates the block loop advances together
+_BLOCK_CELLS = 2**18  # most path cells, replicates x (horizons + 1), one block holds
 _MAX_POPULATION = 10_000_000  # default population cap of SimConfig and the CLI
 _EVENT_BUDGET = 1e10  # most expected units of work one estimate_law run may take
 _LOOKAHEAD_ROWS = 512  # the block loop computes Philox blocks ahead once fewer rows remain
 _LOOKAHEAD_BLOCKS = 64  # most Philox blocks the block loop computes a row ahead
+_PHILOX_BROADCAST = 4096  # widest Philox call whose constants are full width
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Philox4x64 key increments
 
@@ -150,53 +155,62 @@ def _philox_block(seed: int, index: "np.ndarray", blocks: range) -> "np.ndarray"
     words of the products from 32-bit halves.  The counter enters only the
     first round, as (b + 1) M0, and only its word 2 depends on i, so that
     round is done on Python ints, one product a block repeated across the
-    block's columns.
+    block's columns.  Key word 0 is the same in every column, a Python int;
+    word 1 is one row.  The scratch is six (2, columns) arrays and that row,
+    plus the constants: full width up to ``_PHILOX_BROADCAST`` columns, where
+    numpy's per-call cost dominates and it runs same-shape operands fastest,
+    and (2, 1) arrays broadcast past it, where they move less memory.
     """
     import numpy as np
 
     u64 = np.uint64
-    lo32, s32 = u64(0xFFFFFFFF), u64(32)
     n_blocks, n = len(blocks), len(index)
-    # the multipliers of words 0 and 2, their 32-bit halves, the key
-    # increments and the key
-    mul, m_lo, m_hi, bump, key = np.empty((5, 2, n_blocks * n), u64)
+    width = n_blocks * n
+    # the multipliers of words 0 and 2, their 32-bit halves, and the mask
+    # and shift that take the halves
+    columns = width if width <= _PHILOX_BROADCAST else 1
+    mul, m_lo, m_hi, lo32, s32 = np.empty((5, 2, columns), u64)
     mul[0], mul[1] = _PHILOX_M
+    lo32[:], s32[:] = 0xFFFFFFFF, 32
     np.bitwise_and(mul, lo32, out=m_lo)
     np.right_shift(mul, s32, out=m_hi)
-    bump[0], bump[1] = _PHILOX_W
-    key[0] = seed
-    key[1].reshape(n_blocks, n)[:] = index
+    key1 = np.empty(width, u64)
+    key1.reshape(n_blocks, n)[:] = index
     # a holds words 0 and 2, b words 3 and 1 (reversed, as the round
     # writes them), after the first round
-    a, b, spare, a_lo, a_hi, t, v, high = np.empty((8, 2, n_blocks * n), u64)
+    a, b = np.empty((2, 2, width), u64)
+    a_lo, a_hi, t, high = np.empty((4, 2, width), u64)
     # the high and low words of each block's (b + 1) M0, one row a block
     counter_mul = np.array([divmod((block + 1) * _PHILOX_M[0], 2**64) for block in blocks], u64)
     a[0] = seed
     np.bitwise_xor(index, counter_mul[:, :1], out=a[1].reshape(n_blocks, n))
     b[0].reshape(n_blocks, n)[:] = counter_mul[:, 1:]
     b[1] = 0
-    for _ in range(9):
-        key += bump
+    bump = u64(_PHILOX_W[1])
+    for k in range(1, 10):
+        key1 += bump
         np.bitwise_and(a, lo32, out=a_lo)
         np.right_shift(a, s32, out=a_hi)
+        # words (3, 1) <- the low words (0, 2) of the products, in place
+        np.multiply(a, mul, out=a)
         np.multiply(a_lo, m_lo, out=t)
         np.right_shift(t, s32, out=t)
-        np.multiply(a_hi, m_lo, out=v)
-        np.add(t, v, out=t)
+        np.multiply(a_hi, m_lo, out=high)
+        np.add(t, high, out=t)
+        np.bitwise_and(t, lo32, out=high)
         np.multiply(a_lo, m_hi, out=a_lo)
-        np.bitwise_and(t, lo32, out=v)
-        np.add(a_lo, v, out=a_lo)
+        np.add(a_lo, high, out=a_lo)
         np.right_shift(t, s32, out=t)
         np.multiply(a_hi, m_hi, out=high)
         np.add(high, t, out=high)
         np.right_shift(a_lo, s32, out=a_lo)
         np.add(high, a_lo, out=high)
         # words (0, 2) <- (high 1 ^ word 1 ^ key 0, high 0 ^ word 3 ^ key 1)
-        # and words (3, 1) <- the low words (0, 2) of the products
-        np.bitwise_xor(high[::-1], b[::-1], out=spare)
-        np.bitwise_xor(spare, key, out=spare)
-        np.multiply(a, mul, out=b)
-        a, spare = spare, a
+        np.bitwise_xor(high, b, out=high)
+        np.bitwise_xor(high[1], u64((seed + k * _PHILOX_W[0]) % 2**64), out=b[0])
+        np.bitwise_xor(high[0], key1, out=b[1])
+        a, b = b, a
+    del a_lo, a_hi, t, high, key1  # freed before the output is allocated
     words = np.empty((n_blocks, 4, n), u64)
     words[:, 0::2] = a.reshape(2, n_blocks, n).swapaxes(0, 1)
     words[:, 1::2] = b[::-1].reshape(2, n_blocks, n).swapaxes(0, 1)
@@ -225,8 +239,8 @@ def _lockstep(cfg: SimConfig, sampler: InverseCdfSampler, first: int,
     After each event a row writes its new count at the first horizon it
     has not passed, where that count holds unless a later event writes
     over it, and the horizons passed in one step take the count written at
-    the first of them, filled forward at the end.  A row leaves the block
-    at the last horizon or at extinction.
+    the first of them, filled forward in place at the end.  A row leaves the
+    block at the last horizon or at extinction.
     """
     import numpy as np
 
@@ -249,9 +263,10 @@ def _lockstep(cfg: SimConfig, sampler: InverseCdfSampler, first: int,
         if not len(ahead):
             span = 1 if len(rows) >= _LOOKAHEAD_ROWS else min(
                 _LOOKAHEAD_BLOCKS, 4 * _LOOKAHEAD_ROWS // len(rows))
-            keys = rows.astype(np.uint64) + np.uint64(first)
-            words = _philox_block(cfg.seed, keys, range(block, block + span))
+            words = _philox_block(cfg.seed, rows.astype(np.uint64) + np.uint64(first),
+                                  range(block, block + span))
             ahead = ((words >> np.uint64(11)) * 2.0**-53).reshape(2 * span, 2, len(rows))
+            del words  # not held through the events that read its uniforms
             block += span
         hold_u, draw_u = ahead[0]
         t -= np.fromiter(map(math.log1p, (-hold_u).tolist()), np.float64, len(rows)) / count
@@ -268,9 +283,9 @@ def _lockstep(cfg: SimConfig, sampler: InverseCdfSampler, first: int,
         keep = live & (count > 0)
         rows, t, count, ahead = rows[keep], t[keep], count[keep], ahead[1:, :, keep]
     marks = marks[:n_horizons]
-    begun = np.where(marks >= 0, np.arange(n_horizons)[:, None], 0)
-    np.maximum.accumulate(begun, axis=0, out=begun)
-    return np.take_along_axis(marks, begun, axis=0)
+    for j in range(1, n_horizons):
+        np.copyto(marks[j], marks[j - 1], where=marks[j] < 0)
+    return marks
 
 
 def simulate_counts(params: ModelParams, horizons, rng: "np.random.Generator",
@@ -350,18 +365,23 @@ def _expected_events(params: ModelParams, horizon: float) -> float:
 def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
     """Per-horizon histograms of replicates ``start`` to ``stop``.
 
-    The range runs one block of ``_PATH_BLOCK`` replicates at a time through
-    ``_lockstep``, and each block's counts at a horizon are histogrammed by
-    ``np.unique``, so memory is bounded by the block and not by the range.
+    The range runs through ``_lockstep`` in blocks of as many replicates as
+    keep a block's path array, replicates x (horizons + 1) int64 cells,
+    within ``_BLOCK_CELLS``, and each block's counts at a horizon are
+    histogrammed by ``np.unique``, so memory is bounded by the block and not
+    by the range.
     """
     import numpy as np
 
     sampler = offspring_sampler(cfg.params)
     tallies = [Counter() for _ in cfg.horizons]
-    for first in range(start, stop, _PATH_BLOCK):
-        paths = _lockstep(cfg, sampler, first, min(first + _PATH_BLOCK, stop))
-        for tally, counts in zip(tallies, paths):
-            values, times = np.unique(counts, return_counts=True)
+    rows = max(1, _BLOCK_CELLS // (len(cfg.horizons) + 1))
+    for first in range(start, stop, rows):
+        # no name outlives the comprehension to hold a block's paths while
+        # the next block runs
+        histograms = [np.unique(counts, return_counts=True)
+                      for counts in _lockstep(cfg, sampler, first, min(first + rows, stop))]
+        for tally, (values, times) in zip(tallies, histograms):
             tally.update(dict(zip(values.tolist(), times.tolist())))
     return tallies
 
@@ -369,16 +389,19 @@ def _tally_range(cfg: SimConfig, start: int, stop: int) -> list:
 def estimate_law(cfg: SimConfig, workers: int = 1) -> list:
     """One EmpiricalLaw per horizon, from ``cfg.replicates`` trajectories.
 
-    Each range of replicates runs a block at a time through ``_lockstep``,
-    and each block's counts are tallied per horizon.  The result is
-    identical for any worker count: replicate index i always draws exactly
-    what ``stream(seed, i)`` draws, and histogram merging is commutative.
+    Each worker takes one contiguous range of replicates and runs it a
+    block at a time through ``_lockstep`` (``_tally_range``), and each
+    block's counts are tallied per horizon.  The result is identical for
+    any worker count: replicate index i always draws exactly what
+    ``stream(seed, i)`` draws, and histogram merging is commutative.
     ``workers`` is capped at the CPU count: a process pool forks all of its
     workers at once, so the cap keeps a huge request from exhausting the
-    process table.  Raises DomainError, before any draw, when the work
-    expected, replicates x (1 + count-changing events up to the last
-    horizon), exceeds ``_EVENT_BUDGET``: a replicate that takes no event
-    still costs its Philox block and one holding-time draw.
+    process table.  It is also capped at the replicates, so no range is
+    empty, and one worker runs its range in this process.  Raises
+    DomainError, before any draw, when the work expected, replicates x
+    (1 + count-changing events up to the last horizon), exceeds
+    ``_EVENT_BUDGET``: a replicate that takes no event still costs its
+    Philox block and one holding-time draw.
     """
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers!r}")
@@ -387,15 +410,15 @@ def estimate_law(cfg: SimConfig, workers: int = 1) -> list:
         raise DomainError(f"{cfg.replicates} replicates to t={cfg.horizons[-1]!r} expect "
                           f"{work:.3g} replicate starts and events, past the budget of "
                           f"{_EVENT_BUDGET:.0e}")
-    workers = min(workers, os.cpu_count() or 1)
-    if workers == 1 or cfg.replicates < 4 * workers:
+    workers = min(workers, os.cpu_count() or 1, cfg.replicates)
+    if workers == 1:
         tallies = _tally_range(cfg, 0, cfg.replicates)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         import numpy.random  # loaded before the workers fork, or each one loads it
 
-        edges = [cfg.replicates * k // (4 * workers) for k in range(4 * workers + 1)]
+        edges = [cfg.replicates * k // workers for k in range(workers + 1)]
         tallies = [Counter() for _ in cfg.horizons]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             jobs = [pool.submit(_tally_range, cfg, a, b)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
 
@@ -24,7 +25,6 @@ from logbranch import (
 from logbranch.model import change_prob
 from logbranch.simulate import (
     _MAX_POPULATION,
-    _PATH_BLOCK,
     _expected_events,
     _lockstep,
     _philox_block,
@@ -203,6 +203,18 @@ class TestPhiloxBlock:
                                           counter=np.array([block, 0, 0, 0], dtype=np.uint64))
                 assert words[4 * j:4 * j + 4, column].tolist() == philox.random_raw(4).tolist()
 
+    # full-width constants at _PHILOX_BROADCAST columns, (2, 1) constants
+    # broadcast past it, also over two blocks of a row
+    @pytest.mark.parametrize("columns, blocks", [
+        (simulate._PHILOX_BROADCAST, 1), (simulate._PHILOX_BROADCAST + 1, 1),
+        (simulate._PHILOX_BROADCAST // 2 + 1, 2)])
+    def test_widths_either_side_of_broadcast(self, columns, blocks):
+        index = np.arange(2**64 - columns, 2**64, dtype=np.uint64)
+        words = _philox_block(7, index, range(5, 5 + blocks))
+        for column, i in enumerate(index.tolist()):
+            raw = stream(7, i).bit_generator.random_raw(4 * (5 + blocks))
+            assert words[:, column].tolist() == raw[20:].tolist()
+
 
 class TestBlockPaths:
     """Every replicate's whole path from the block loop is
@@ -210,16 +222,18 @@ class TestBlockPaths:
     block edges and the point where the block starts to compute Philox
     blocks ahead."""
 
+    BLOCK = 4096  # the rows of the straddling range's blocks
+
     @pytest.mark.parametrize("alpha, horizons", [
         (0.5, (0.5, 1.0, 2.0)), (0.75, (1.0, 4.0, 16.0, 32.0)),
         (0.05, (0.5, 1.0, 2.0)), (1e-3, (1.0, 100.0, 1000.0))])
-    # a range of 1.22 blocks from 0, and one that starts mid-block as a
-    # worker's range does
-    @pytest.mark.parametrize("start, stop", [(0, 5000), (1234, 1234 + _PATH_BLOCK + 777)])
+    # one block from 0 at the default cell budget, and a range of 1.19
+    # blocks of BLOCK rows that starts mid-block as a worker's range does
+    @pytest.mark.parametrize("start, stop", [(0, 5000), (1234, 1234 + BLOCK + 777)])
     # the rows below which a block looks ahead: with 1 it never does and
-    # every call computes one Philox block, then the default, and a
-    # lookahead from the first event
-    @pytest.mark.parametrize("lookahead_rows", [1, simulate._LOOKAHEAD_ROWS, _PATH_BLOCK + 1])
+    # every call computes one Philox block, then the default, and, in the
+    # blocks of BLOCK rows, a lookahead from the first event
+    @pytest.mark.parametrize("lookahead_rows", [1, simulate._LOOKAHEAD_ROWS, BLOCK + 1])
     def test_paths_match_streams(self, monkeypatch, rekeyer, alpha, horizons, start, stop,
                                  lookahead_rows):
         params = ModelParams(alpha, 1.0)
@@ -227,22 +241,29 @@ class TestBlockPaths:
         sampler = offspring_sampler(params)
         expected = [tuple(simulate_counts(params, horizons, rng, sampler).tolist())
                     for rng in map(rekeyer(cfg.seed), range(start, stop))]
-        spans = []
+        spans, sizes, paths = [], [], []
 
         def recording(seed, index, blocks):
             spans.append(len(blocks))
             return _philox_block(seed, index, blocks)
 
+        def lockstep(cfg, sampler, first, stop):
+            block = _lockstep(cfg, sampler, first, stop)
+            sizes.append(stop - first)
+            paths.extend(map(tuple, block.T.tolist()))
+            return block
+
+        if start:
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", self.BLOCK * (len(horizons) + 1))
         monkeypatch.setattr(simulate, "_LOOKAHEAD_ROWS", lookahead_rows)
         monkeypatch.setattr(simulate, "_philox_block", recording)
-        paths = []
-        for first in range(start, stop, _PATH_BLOCK):
-            block = _lockstep(cfg, sampler, first, min(first + _PATH_BLOCK, stop))
-            paths.extend(map(tuple, block.T.tolist()))
+        monkeypatch.setattr(simulate, "_lockstep", lockstep)
+        simulate._tally_range(cfg, start, stop)
+        assert sizes == ([self.BLOCK, 777] if start else [5000])
         assert paths == expected
         if lookahead_rows == 1:
             assert set(spans) == {1}
-        if lookahead_rows > _PATH_BLOCK:
+        if lookahead_rows > max(sizes):
             assert min(spans) > 1
 
     def test_block_loop_serves_every_replicate(self, monkeypatch):
@@ -255,6 +276,41 @@ class TestBlockPaths:
         cfg = SimConfig(ModelParams(0.75, 1.0), (1.0, 4.0, 16.0, 32.0), 5_000, 29)
         laws = estimate_law(cfg)
         assert all(sum(law.counts.values()) == cfg.replicates for law in laws)
+
+    @staticmethod
+    def _peak_bytes(cfg):
+        # allocations made once a process are not the block's
+        estimate_law(SimConfig(cfg.params, cfg.horizons, 1_000, 1))
+        tracemalloc.start()
+        try:
+            estimate_law(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _block_bytes(horizons):
+        # a block's rows x (horizons + 1) path cells stay within the budget;
+        # each row also holds its count, clock and index (3 words), the key
+        # of its Philox call (1) and that call's scratch (13), 8 bytes a
+        # word; 1 MiB is left for what is not per row: the sampler's table,
+        # the tallies and the interpreter's own objects
+        rows = simulate._BLOCK_CELLS // (len(horizons) + 1)
+        return 8 * rows * (len(horizons) + 1 + 3 + 1 + 13) + 2**20
+
+    def test_memory_bounded_by_the_block(self):
+        horizons = (0.5, 1.0, 2.0)
+        small, big = (self._peak_bytes(SimConfig(ModelParams(0.5, 1.0), horizons, replicates, 3))
+                      for replicates in (100_000, 1_000_000))
+        assert max(small, big) <= self._block_bytes(horizons)
+        # not one word more for each of the 900,000 more replicates
+        assert big - small < 8 * 900_000
+
+    def test_memory_bounded_at_many_horizons(self):
+        # the budget bounds the path cells where there are many horizons
+        horizons = tuple(0.5 * k for k in range(1, 51))
+        peak = self._peak_bytes(SimConfig(ModelParams(0.77, 1.0), horizons, 100_000, 3))
+        assert peak <= self._block_bytes(horizons)
 
     def test_first_stream_at_far_index(self):
         # keys near 2**64: the last replicates a run can have
@@ -296,15 +352,16 @@ class TestEstimateLaw:
         laws = estimate_law(cfg, workers=workers)
         assert [law.counts for law in laws] == [dict(tally) for tally in tallies]
 
-    def test_workers_capped_at_cpu_count(self, params_half, monkeypatch):
-        # a pool forks every worker on its first submit, so a huge --workers
-        # must not reach ProcessPoolExecutor; an inline pool runs the ranges
-        # in this process instead of starting any
-        pools = []
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        """An inline pool in place of ProcessPoolExecutor: it runs each range
+        in this process instead of starting any, and records the pools
+        built and the ranges submitted; the host has 2 CPUs."""
+        record = {"pools": [], "ranges": []}
 
         class InlinePool:
             def __init__(self, max_workers):
-                pools.append(max_workers)
+                record["pools"].append(max_workers)
 
             def __enter__(self):
                 return self
@@ -312,18 +369,55 @@ class TestEstimateLaw:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
+            def submit(self, fn, cfg, start, stop):
+                record["ranges"].append((start, stop))
                 future = Future()
-                future.set_result(fn(*args))
+                future.set_result(fn(cfg, start, stop))
                 return future
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
+        return record
+
+    def test_workers_capped_at_cpu_count(self, params_half, inline_pool):
+        # a pool forks every worker on its first submit, so a huge --workers
+        # must not reach ProcessPoolExecutor
         cfg = SimConfig(params_half, (0.5, 1.0), 2_000, 11)
         capped = estimate_law(cfg, workers=64)
-        assert pools == [2]
+        assert inline_pool["pools"] == [2]
         serial = estimate_law(cfg, workers=1)
         assert [law.counts for law in capped] == [law.counts for law in serial]
+
+    # blocks x rows + extra replicates: one runs in this process, 3 split
+    # 1 + 2, and 2 rows + 3 split into two ranges that each cross a block edge
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 3), (2, 3)])
+    def test_one_range_per_worker(self, params_half, monkeypatch, inline_pool, blocks, extra):
+        horizons = (0.5, 1.0)
+        rows = simulate._BLOCK_CELLS // (len(horizons) + 1)
+        replicates = blocks * rows + extra
+        cfg = SimConfig(params_half, horizons, replicates, 13)
+        calls = []
+
+        def lockstep(cfg, sampler, first, stop):
+            calls.append((first, stop))
+            return _lockstep(cfg, sampler, first, stop)
+
+        monkeypatch.setattr(simulate, "_lockstep", lockstep)
+        parallel = estimate_law(cfg, workers=2)
+        ranges = inline_pool["ranges"] or [(0, replicates)]
+        assert inline_pool["pools"] == ([2] if replicates > 1 else [])
+        assert len(ranges) == min(2, replicates)
+        assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+        assert ranges[-1][1] == replicates
+        assert all(stop > start for start, stop in ranges)
+        for start, stop in ranges:
+            inside = [call for call in calls if start <= call[0] < stop]
+            assert len(inside) == -(-(stop - start) // rows)
+        calls.clear()
+        serial = estimate_law(cfg, workers=1)
+        assert calls == [(first, min(first + rows, replicates))
+                         for first in range(0, replicates, rows)]
+        assert [law.counts for law in parallel] == [law.counts for law in serial]
 
     def test_rejects_bad_workers(self, params_half):
         cfg = SimConfig(params_half, (1.0,), 100, 7)
